@@ -14,8 +14,9 @@ One JSON object per line (JSONL). The first line is a header::
 
     {"op": "open", "ver": <graph version at open>, "ckpt": <path|null>}
 
-followed by mutation records stamped with the graph version *after* the
-mutation applied::
+(``ckpt`` is stored relative to the journal's directory), followed by
+mutation records stamped with the graph version *after* the mutation
+applied::
 
     {"op": "+", "u": 3, "v": 7, "ver": 1042}
     {"op": "-", "u": 3, "v": 7, "ver": 1043}
@@ -159,10 +160,20 @@ class UpdateJournal:
         header = {
             "op": "open",
             "ver": version,
-            "ckpt": str(checkpoint) if checkpoint is not None else None,
+            "ckpt": (
+                self._ckpt_ref(checkpoint) if checkpoint is not None else None
+            ),
         }
         self._handle.write(json.dumps(header, separators=(",", ":")) + "\n")
         self.flush()
+
+    def _ckpt_ref(self, checkpoint: PathLike) -> str:
+        """``checkpoint`` as a header records it: relative to the
+        journal's directory, which is what :func:`replay` resolves it
+        against (a caller's cwd-relative path would otherwise double)."""
+        return os.path.relpath(
+            os.path.abspath(checkpoint), os.path.abspath(self.path.parent)
+        )
 
     def flush(self) -> None:
         """Force buffered records to stable storage (fsync)."""
@@ -205,7 +216,7 @@ class UpdateJournal:
             header = {
                 "op": "open",
                 "ver": graph.version,
-                "ckpt": str(snapshot_path),
+                "ckpt": self._ckpt_ref(snapshot_path),
             }
             handle.write(json.dumps(header, separators=(",", ":")) + "\n")
             handle.flush()

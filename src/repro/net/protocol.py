@@ -47,6 +47,13 @@ Errors at the request level come back as
 ``{"type": "error", "id", "error": reason}``; errors at the framing level
 (oversized, truncated, or undecodable frames) are connection-fatal and
 raise :class:`ProtocolError`.
+
+Reading is batched: every endpoint (server, client, supervisor) owns one
+:class:`FrameDecoder` per connection and turns each socket read of up to
+:data:`READ_SIZE` bytes into *all* the complete messages it holds, in one
+pass, keeping only a partial tail for the next read. A pipelining peer's
+burst of small frames therefore costs one ``await`` and one decode loop,
+not two ``readexactly`` awaits per frame.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Optional
+from typing import List, Optional
 
 from repro.service.engine import QueryOutcome
 
@@ -64,6 +71,9 @@ _HEADER = struct.Struct(">I")
 #: Hard ceiling on one frame; a graph snapshot of a few million edges
 #: fits, anything larger is a framing bug, not a bigger message.
 MAX_FRAME = 64 * 1024 * 1024
+
+#: Most bytes one :meth:`FrameDecoder.read` takes off the socket.
+READ_SIZE = 64 * 1024
 
 # Request types.
 QUERY = "query"
@@ -100,40 +110,70 @@ def encode(message: dict) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
-    """The next message, or ``None`` on clean EOF (between frames).
+class FrameDecoder:
+    """Incremental frame decoder for one byte stream.
 
-    EOF *inside* a frame — header or body — is a truncated stream and
-    raises :class:`ProtocolError`, as do oversized and undecodable
-    frames: framing errors poison the stream position, so callers must
-    drop the connection rather than resynchronize.
+    :meth:`feed` takes whatever the socket delivered and returns every
+    message completed by it; an incomplete tail is kept for the next
+    call. Framing errors surface as early as the bytes allow: an
+    oversized frame is rejected from its header alone (its body is never
+    buffered), an undecodable or non-object body when it completes, and
+    :meth:`eof` raises if the stream ends inside a frame. Framing errors
+    poison the stream position, so callers must drop the connection
+    rather than resynchronize.
     """
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial:
-            raise ProtocolError("truncated frame header") from exc
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("truncated frame body") from exc
-    try:
-        message = json.loads(body)
-    except ValueError as exc:
-        raise ProtocolError("undecodable frame body") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("frame body is not an object")
-    return message
 
+    __slots__ = ("_buffer",)
 
-async def send(writer: asyncio.StreamWriter, message: dict) -> None:
-    """Write one frame and drain (so backpressure reaches the sender)."""
-    writer.write(encode(message))
-    await writer.drain()
+    def __init__(self) -> None:
+        self._buffer = bytearray()  # the incomplete tail of the stream
+
+    def feed(self, data: bytes) -> List[dict]:
+        """The messages completed by ``data`` (possibly none)."""
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
+        messages = []
+        pos, end = 0, len(data)
+        while end - pos >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(data, pos)
+            if length > MAX_FRAME:
+                raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME")
+            start = pos + _HEADER.size
+            stop = start + length
+            if stop > end:
+                break
+            try:
+                message = json.loads(data[start:stop])
+            except ValueError as exc:
+                raise ProtocolError("undecodable frame body") from exc
+            if not isinstance(message, dict):
+                raise ProtocolError("frame body is not an object")
+            messages.append(message)
+            pos = stop
+        if data is buffer:
+            del buffer[:pos]
+        elif pos < end:
+            buffer += data[pos:]
+        return messages
+
+    def eof(self) -> None:
+        """The stream ended: raise :class:`ProtocolError` unless it ended
+        between frames."""
+        if len(self._buffer) >= _HEADER.size:
+            raise ProtocolError("truncated frame body")
+        if self._buffer:
+            raise ProtocolError("truncated frame header")
+
+    async def read(self, reader: asyncio.StreamReader) -> Optional[List[dict]]:
+        """One socket read's complete messages (possibly none), or
+        ``None`` on clean EOF; truncation at EOF raises."""
+        data = await reader.read(READ_SIZE)
+        if not data:
+            self.eof()
+            return None
+        return self.feed(data)
 
 
 def outcome_to_wire(outcome: QueryOutcome) -> dict:

@@ -3,23 +3,37 @@
 Architecture
 ------------
 One event loop owns all sockets; the (thread-based, GIL-releasing-on-IO)
-service runs in executor threads. Three mechanisms make the wire cheap:
+service runs in executor threads. Four mechanisms make the wire cheap:
 
+* **Batched frame I/O.** Each connection reads through one
+  :class:`~repro.net.protocol.FrameDecoder`: a socket read of up to
+  64 KiB yields every complete frame it holds in one decode pass. A
+  ``query`` frame goes straight onto the coalescer queue, tagged with
+  its connection and request id — no task, future or lock per frame.
+  When a wave finishes, its replies are encoded (through
+  ``protocol.encode``/``protocol.outcome_to_wire``) and joined into one
+  buffer per connection, so a connection with 32 queries in the wave
+  costs one ``writer.write`` (one ``send`` syscall), not 32 writes, 32
+  lock round trips and 32 ``drain`` awaits. Other frame types get a
+  handler task each and write their one reply frame whole.
 * **Socket-layer coalescing.** ``query`` frames do not call
   ``service.query`` one by one: they enqueue onto a server-wide batch
   queue, and a single drain task gathers everything queued — across all
   connections — into one ``service.query_batch(strategy="auto")`` call
-  per wave (the PR 5 batcher is the sink, so dedup, fast-path/cache
+  per wave (the batch planner is the sink, so dedup, fast-path/cache
   pre-filtering, and bit-parallel kernel waves all engage). Under load
   the queue refills while a wave executes, so waves pack toward
   ``max_wave`` lanes exactly when batching pays most; an idle server
   degenerates to per-query dispatch with one queue hop of overhead.
-* **Backpressure.** With ``service.max_pending`` set, the coalescer
-  sheds at enqueue time once that many wire queries are queued or
-  executing — before any executor thread is burned. Shed responses are
-  built by :meth:`ReachabilityService.shed_outcome`, so every rejection
-  carries the live ``retry_after_ms`` hint derived from observed
-  engine-stage latency.
+* **Backpressure.** The connection loop awaits ``writer.drain()`` after
+  each chunk it reads, so a peer that stops taking replies stops being
+  read once its transport buffer fills. With ``service.max_pending``
+  set, the coalescer also sheds at enqueue time once that many wire
+  queries are queued or executing — before any executor thread is
+  burned. Shed responses are built by
+  :meth:`ReachabilityService.shed_outcome`, so every rejection carries
+  the live ``retry_after_ms`` hint derived from observed engine-stage
+  latency.
 * **Journal shipping.** A ``subscribe`` frame turns the connection into
   a replication feed. One server-wide :class:`JournalFanout` owns the
   single live :class:`~repro.graph.journal.JournalTailer` — however many
@@ -57,6 +71,49 @@ from repro.net import protocol
 from repro.service.engine import QueryOutcome, ReachabilityService
 
 Pair = Tuple[int, int]
+
+
+class _Connection:
+    """The write side of one client connection.
+
+    Every reply is one whole-frame ``writer.write`` (so replies never
+    interleave) and is skipped once the peer is gone. ``queued`` counts
+    the connection's coalesced queries that have no reply yet, so a
+    connection closing on EOF can still hand them their answers.
+    """
+
+    __slots__ = ("writer", "queued", "_idle")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.queued = 0
+        self._idle: Optional[asyncio.Future] = None
+
+    def send(self, message: dict) -> None:
+        self.write(protocol.encode(message))
+
+    def write(self, data: bytes) -> bool:
+        """Write ``data`` unless the connection is closing; whether it did."""
+        if self.writer.is_closing():
+            return False
+        self.writer.write(data)
+        return True
+
+    def answered(self, count: int) -> None:
+        self.queued -= count
+        if not self.queued and self._idle is not None and not self._idle.done():
+            self._idle.set_result(None)
+
+    async def settled(self) -> None:
+        """Wait until every queued query of this connection is answered."""
+        if self.queued:
+            self._idle = asyncio.get_running_loop().create_future()
+            await self._idle
+
+
+#: A coalescer queue entry: the pair, its deadline, and where the reply
+#: goes (connection, request id).
+_Queued = Tuple[Pair, Optional[float], _Connection, object]
 
 
 class JournalFanout:
@@ -198,9 +255,7 @@ class ReachabilityServer:
         self._tail_poll_s = tail_poll_s
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Deque[
-            Tuple[Pair, Optional[float], "asyncio.Future[QueryOutcome]"]
-        ] = deque()
+        self._queue: Deque[_Queued] = deque()
         self._wakeup: Optional[asyncio.Event] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._inflight = 0  # wire queries queued or executing
@@ -247,11 +302,10 @@ class ReachabilityServer:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._drain_task
         while self._queue:
-            pair, _, future = self._queue.popleft()
-            if not future.done():
-                future.set_result(
-                    self._error_outcome(pair[0], pair[1], "server-stopped")
-                )
+            (s, t), _, conn, mid = self._queue.popleft()
+            outcome = self._error_outcome(s, t, "server-stopped")
+            conn.send(self._result(mid, outcome))
+            conn.answered(1)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -298,35 +352,40 @@ class ReachabilityServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._incr("net_connections")
-        send_lock = asyncio.Lock()
+        conn = _Connection(writer)
+        decoder = protocol.FrameDecoder()
         pending: set = set()
-
-        async def respond(message: dict) -> None:
-            async with send_lock:
-                await protocol.send(writer, message)
-
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
         try:
             while not self._closed:
                 try:
-                    message = await protocol.read_frame(reader)
+                    messages = await decoder.read(reader)
                 except protocol.ProtocolError:
                     self._incr("net_protocol_errors")
                     break
-                if message is None:
+                if messages is None:
                     break
-                # Dispatch without blocking the read loop: responses are
-                # written out of order (matched by id), which is what
-                # lets one connection keep many queries in flight.
-                handler = asyncio.create_task(
-                    self._handle_message(message, respond)
-                )
-                pending.add(handler)
-                handler.add_done_callback(pending.discard)
+                for message in messages:
+                    if self._coalesce and message.get("type") == protocol.QUERY:
+                        self._enqueue_query(message, conn)
+                        continue
+                    # Dispatch without blocking the read loop: responses
+                    # are written out of order (matched by id), which is
+                    # what lets one connection keep many requests in
+                    # flight.
+                    handler = asyncio.create_task(
+                        self._handle_message(message, conn)
+                    )
+                    pending.add(handler)
+                    handler.add_done_callback(pending.discard)
+                # Backpressure: a peer that stops taking replies stops
+                # being read once the transport's buffer is full.
+                await writer.drain()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+            await conn.settled()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -338,22 +397,19 @@ class ReachabilityServer:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _handle_message(self, message: dict, respond) -> None:
+    async def _handle_message(self, message: dict, conn: _Connection) -> None:
         mid = message.get("id")
         mtype = message.get("type")
         self._incr("net_requests")
         try:
             if mtype == protocol.QUERY:
-                outcome = await self._serve_query(
-                    int(message["s"]),
-                    int(message["t"]),
-                    self._deadline_s(message),
+                s, t = int(message["s"]), int(message["t"])
+                deadline_s = self._deadline_s(message)
+                self._incr("net_queries")
+                outcome = await self._loop.run_in_executor(
+                    None, lambda: self.service.query(s, t, deadline_s)
                 )
-                reply = {
-                    "type": protocol.RESULT,
-                    "id": mid,
-                    **protocol.outcome_to_wire(outcome),
-                }
+                reply = self._result(mid, outcome)
             elif mtype == protocol.BATCH:
                 reply = await self._serve_batch(message, mid)
             elif mtype == protocol.UPDATE:
@@ -372,7 +428,7 @@ class ReachabilityServer:
             elif mtype == protocol.LEASE:
                 reply = self._serve_lease(message, mid)
             elif mtype == protocol.SUBSCRIBE:
-                await self._serve_subscription(message, respond)
+                await self._serve_subscription(message, conn)
                 return
             else:
                 reply = {
@@ -383,14 +439,24 @@ class ReachabilityServer:
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # per-request containment, never fatal
-            self._incr("net_request_errors")
-            reply = {
-                "type": protocol.ERROR,
-                "id": mid,
-                "error": str(exc) or type(exc).__name__,
-            }
-        with contextlib.suppress(ConnectionError, RuntimeError):
-            await respond(reply)
+            reply = self._request_error(mid, exc)
+        conn.send(reply)
+
+    def _request_error(self, mid, exc: Exception) -> dict:
+        self._incr("net_request_errors")
+        return {
+            "type": protocol.ERROR,
+            "id": mid,
+            "error": str(exc) or type(exc).__name__,
+        }
+
+    @staticmethod
+    def _result(mid, outcome: QueryOutcome) -> dict:
+        return {
+            "type": protocol.RESULT,
+            "id": mid,
+            **protocol.outcome_to_wire(outcome),
+        }
 
     @staticmethod
     def _deadline_s(message: dict) -> Optional[float]:
@@ -400,26 +466,34 @@ class ReachabilityServer:
     # ------------------------------------------------------------------
     # Queries: the socket-layer coalescer
     # ------------------------------------------------------------------
-    async def _serve_query(
-        self, s: int, t: int, deadline_s: Optional[float]
-    ) -> QueryOutcome:
+    def _enqueue_query(self, message: dict, conn: _Connection) -> None:
+        """Queue one ``query`` frame for the next wave (or shed it).
+
+        No task, future or lock per frame: the queue entry names the
+        connection and request id the wave's reply goes to.
+        """
+        mid = message.get("id")
+        self._incr("net_requests")
+        try:
+            pair = (int(message["s"]), int(message["t"]))
+            deadline_s = self._deadline_s(message)
+        except Exception as exc:  # malformed request, not a framing error
+            conn.send(self._request_error(mid, exc))
+            return
         self._incr("net_queries")
-        if not self._coalesce:
-            return await self._loop.run_in_executor(
-                None, lambda: self.service.query(s, t, deadline_s)
-            )
         max_pending = self.service.max_pending
         if max_pending and self._inflight >= max_pending:
             # Socket-layer backpressure: shed before burning an executor
             # thread, with the same live retry-after hint the in-process
             # admission control attaches.
             self._incr("net_shed")
-            return self.service.shed_outcome(s, t, backlog=self._inflight)
-        future: "asyncio.Future[QueryOutcome]" = self._loop.create_future()
+            outcome = self.service.shed_outcome(*pair, backlog=self._inflight)
+            conn.send(self._result(mid, outcome))
+            return
         self._inflight += 1
-        self._queue.append(((s, t), deadline_s, future))
+        conn.queued += 1
+        self._queue.append((pair, deadline_s, conn, mid))
         self._wakeup.set()
-        return await future
 
     async def _drain_loop(self) -> None:
         while not self._closed:
@@ -435,12 +509,9 @@ class ReachabilityServer:
                 ]
                 await self._run_wave(items)
 
-    async def _run_wave(
-        self,
-        items: List[Tuple[Pair, Optional[float], "asyncio.Future[QueryOutcome]"]],
-    ) -> None:
+    async def _run_wave(self, items: List[_Queued]) -> None:
         pairs = [item[0] for item in items]
-        deadlines = [d for _, d, _ in items if d is not None]
+        deadlines = [d for _, d, _, _ in items if d is not None]
         deadline_s = min(deadlines) if deadlines else None
         self._incr("net_coalesced_waves")
         self._incr("net_coalesced_queries", len(items))
@@ -457,9 +528,15 @@ class ReachabilityServer:
             outcomes = [self._error_outcome(s, t, detail) for s, t in pairs]
         finally:
             self._inflight -= len(items)
-        for (_, _, future), outcome in zip(items, outcomes):
-            if not future.done():
-                future.set_result(outcome)
+        # One joined buffer -- one transport write -- per connection.
+        replies: Dict[_Connection, List[bytes]] = {}
+        for (_, _, conn, mid), outcome in zip(items, outcomes):
+            frame = protocol.encode(self._result(mid, outcome))
+            replies.setdefault(conn, []).append(frame)
+        for conn, frames in replies.items():
+            if conn.write(b"".join(frames)):
+                self._incr("net_wave_writes")
+            conn.answered(len(frames))
 
     def _error_outcome(self, s: int, t: int, detail: str) -> QueryOutcome:
         return QueryOutcome(
@@ -597,7 +674,13 @@ class ReachabilityServer:
         finally:
             tailer.close()
 
-    async def _serve_subscription(self, message: dict, respond) -> None:
+    async def _serve_subscription(self, message: dict, conn: _Connection) -> None:
+        async def respond(reply: dict) -> None:
+            # A feed is a stream, so it drains per frame: a slow replica
+            # holds the feed back, and a vanished one raises here.
+            conn.send(reply)
+            await conn.writer.drain()
+
         mid = message.get("id")
         after = int(message.get("after", 0))
         journal = self.service.journal

@@ -372,48 +372,52 @@ class ClusterSupervisor:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        decoder = protocol.FrameDecoder()
         try:
             while True:
                 try:
-                    message = await protocol.read_frame(reader)
+                    messages = await decoder.read(reader)
                 except protocol.ProtocolError:
                     break
-                if message is None:
+                if messages is None:
                     break
-                mid = message.get("id")
-                mtype = message.get("type")
-                if mtype == protocol.ENDPOINTS:
-                    reply = {
-                        "type": protocol.ENDPOINTS_RESULT,
-                        "id": mid,
-                        **self.endpoint_map(),
-                    }
-                elif mtype == protocol.PING:
-                    reply = {
-                        "type": protocol.PONG,
-                        "id": mid,
-                        "role": "supervisor",
-                        "watermark": self.primary_watermark,
-                        "epoch": self.epoch,
-                    }
-                elif mtype == protocol.STATS:
-                    reply = {
-                        "type": protocol.STATS_RESULT,
-                        "id": mid,
-                        "role": "supervisor",
-                        "stats": self.stats(),
-                        "log": self.log[-50:],
-                    }
-                else:
-                    reply = {
-                        "type": protocol.ERROR,
-                        "id": mid,
-                        "error": f"unknown-type:{mtype}",
-                    }
-                await protocol.send(writer, reply)
+                for message in messages:
+                    writer.write(protocol.encode(self._control_reply(message)))
+                await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+
+    def _control_reply(self, message: dict) -> dict:
+        mid = message.get("id")
+        mtype = message.get("type")
+        if mtype == protocol.ENDPOINTS:
+            return {
+                "type": protocol.ENDPOINTS_RESULT,
+                "id": mid,
+                **self.endpoint_map(),
+            }
+        if mtype == protocol.PING:
+            return {
+                "type": protocol.PONG,
+                "id": mid,
+                "role": "supervisor",
+                "watermark": self.primary_watermark,
+                "epoch": self.epoch,
+            }
+        if mtype == protocol.STATS:
+            return {
+                "type": protocol.STATS_RESULT,
+                "id": mid,
+                "role": "supervisor",
+                "stats": self.stats(),
+                "log": self.log[-50:],
+            }
+        return {
+            "type": protocol.ERROR,
+            "id": mid,
+            "error": f"unknown-type:{mtype}",
+        }

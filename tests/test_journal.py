@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.graph.digraph import DynamicDiGraph
+from repro.graph.io import write_edge_list
 from repro.graph.journal import (
     JournalCorrupt,
     JournalReplayError,
@@ -221,6 +222,38 @@ class TestCheckpoint:
         result = replay(path)
         assert sorted(result.graph.edges()) == sorted(graph.edges())
         assert result.graph.version == graph.version
+
+
+    def test_relative_paths_record_checkpoint_once(self, tmp_path, monkeypatch):
+        # Journal and checkpoint both under a cwd-relative directory: the
+        # header must name the checkpoint relative to the journal's own
+        # directory, or replay resolves "dir/dir/snap.txt".
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "artifacts").mkdir()
+        path = "artifacts/wal.jsonl"
+        graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
+        with UpdateJournal(path, graph_version=graph.version) as journal:
+            journal.checkpoint(graph, "artifacts/snap.txt")
+            graph.add_edge(2, 3)
+            journal.record_insert(2, 3, graph.version)
+        header = json.loads((tmp_path / path).read_text().splitlines()[0])
+        assert header["ckpt"] == "snap.txt"
+        result = replay(path)
+        assert sorted(result.graph.edges()) == sorted(graph.edges())
+        assert result.graph.version == graph.version
+
+    def test_relative_checkpoint_at_open_replays(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").mkdir()
+        graph = DynamicDiGraph(edges=[(0, 1)])
+        write_edge_list(graph, "a/base.txt")
+        with UpdateJournal(
+            "a/wal.jsonl", graph_version=graph.version, checkpoint="a/base.txt"
+        ) as journal:
+            graph.add_edge(1, 2)
+            journal.record_insert(1, 2, graph.version)
+        result = replay("a/wal.jsonl")
+        assert sorted(result.graph.edges()) == [(0, 1), (1, 2)]
 
 
 class TestRestoreVersion:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import threading
+import time
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.net import (
     ReachabilityServer,
     ReplicaNode,
     ServerError,
+    protocol,
 )
 from repro.service.engine import ReachabilityService
 
@@ -271,6 +274,176 @@ def test_protocol_error_drops_connection_but_not_server():
                 ) as client:
                     assert (await client.query(0, 10)).answer
                 assert server.counters["net_protocol_errors"] == 1
+
+    run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Batched frame I/O: queued frames, one reply write per wave
+# ----------------------------------------------------------------------
+def test_one_connection_wave_gets_one_transport_write(monkeypatch):
+    writes = []
+    original_write = asyncio.StreamWriter.write
+
+    def counting_write(self, data):
+        writes.append((self.get_extra_info("sockname")[1], bytes(data)))
+        return original_write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+
+    async def scenario():
+        graph = chain_graph()
+        with ReachabilityService(graph, num_workers=2) as service:
+            # The gathering window lets all 32 frames queue first.
+            async with serving(service, coalesce_delay_s=0.05) as server:
+                async with await ReachabilityClient.open(
+                    *server.address
+                ) as client:
+                    pairs = [(i % 40, 40) for i in range(32)]
+                    outcomes = await asyncio.gather(
+                        *[client.query(s, t) for s, t in pairs]
+                    )
+                assert all(o.answer for o in outcomes)
+                assert server.counters["net_coalesced_waves"] == 1
+                assert server.counters["net_coalesced_queries"] == 32
+                assert server.counters["net_wave_writes"] == 1
+                return server.port
+
+    port = run(scenario())
+    server_writes = [data for sport, data in writes if sport == port]
+    # All 32 replies left the server in one write of 32 whole frames.
+    assert len(server_writes) == 1
+    replies = protocol.FrameDecoder().feed(server_writes[0])
+    assert len({reply["id"] for reply in replies}) == 32
+    assert all(reply["type"] == protocol.RESULT for reply in replies)
+
+
+def test_connection_closed_mid_wave_spares_the_other_connections():
+    async def scenario():
+        graph = chain_graph()
+        with ReachabilityService(graph, num_workers=2) as service:
+            wave_started = threading.Event()
+            original_batch = service.query_batch
+
+            def slow_batch(*args, **kwargs):
+                wave_started.set()
+                time.sleep(0.3)  # hold the wave in its executor thread
+                return original_batch(*args, **kwargs)
+
+            service.query_batch = slow_batch
+            async with serving(service, coalesce_delay_s=0.05) as server:
+                doomed = await ReachabilityClient.open(*server.address)
+                async with await ReachabilityClient.open(
+                    *server.address
+                ) as survivor:
+                    doomed_calls = [
+                        asyncio.ensure_future(doomed.query(i, 40))
+                        for i in range(8)
+                    ]
+                    survivor_calls = [
+                        asyncio.ensure_future(survivor.query(0, 1000 + i))
+                        for i in range(8)
+                    ] + [
+                        asyncio.ensure_future(survivor.query(i, 40))
+                        for i in range(8)
+                    ]
+                    await wait_until(wave_started.is_set)
+                    doomed._writer.transport.abort()
+                    answers = await asyncio.gather(*survivor_calls)
+                    assert [o.answer for o in answers] == [False] * 8 + [
+                        True
+                    ] * 8
+                    assert all(o.confident for o in answers)
+                    assert server.counters["net_coalesced_waves"] == 1
+                    # The server keeps serving after the reset.
+                    assert (await survivor.query(5, 35)).answer
+                await asyncio.gather(*doomed_calls, return_exceptions=True)
+                await doomed.close()
+
+    run(scenario())
+
+
+def test_stop_answers_queued_queries_with_server_stopped():
+    async def scenario():
+        graph = chain_graph()
+        with ReachabilityService(graph, num_workers=2) as service:
+            # The window keeps every query queued when stop() arrives.
+            server = await ReachabilityServer(
+                service, port=0, coalesce_delay_s=10.0
+            ).start()
+            async with await ReachabilityClient.open(
+                *server.address
+            ) as client:
+                calls = [
+                    asyncio.ensure_future(client.query(i, 40))
+                    for i in range(6)
+                ]
+                await wait_until(
+                    lambda: server.counters.get("net_queries", 0) == 6
+                )
+                await server.stop()
+                outcomes = await asyncio.gather(*calls)
+            assert len(outcomes) == 6
+            for outcome in outcomes:
+                assert outcome.via == "error"
+                assert outcome.detail == "server-stopped"
+                assert not outcome.confident
+            assert "net_coalesced_waves" not in server.counters
+
+    run(scenario())
+
+
+def test_half_closed_connection_still_gets_its_queued_replies():
+    async def scenario():
+        graph = chain_graph()
+        with ReachabilityService(graph, num_workers=2) as service:
+            async with serving(service, coalesce_delay_s=0.05) as server:
+                reader, writer = await asyncio.open_connection(
+                    *server.address
+                )
+                writer.write(
+                    b"".join(
+                        protocol.encode(
+                            {"type": "query", "id": i, "s": i, "t": 40}
+                        )
+                        for i in range(3)
+                    )
+                )
+                writer.write_eof()  # EOF arrives before the wave runs
+                decoder = protocol.FrameDecoder()
+                replies = []
+                while True:
+                    messages = await decoder.read(reader)
+                    if messages is None:
+                        break
+                    replies.extend(messages)
+                writer.close()
+                assert sorted(r["id"] for r in replies) == [0, 1, 2]
+                assert all(r["answer"] for r in replies)
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_malformed_query_gets_request_error_and_keeps_connection(coalesce):
+    async def scenario():
+        graph = chain_graph()
+        with ReachabilityService(graph, num_workers=2) as service:
+            async with serving(service, coalesce=coalesce) as server:
+                async with await ReachabilityClient.open(
+                    *server.address
+                ) as client:
+                    with pytest.raises(ServerError, match="invalid literal"):
+                        await client._request(
+                            {"type": "query", "s": "zero", "t": 40}
+                        )
+                    with pytest.raises(ServerError):
+                        await client._request({"type": "query", "s": 0})
+                    # Same connection, still serving.
+                    assert (await client.query(0, 40)).answer
+                assert server.counters["net_request_errors"] == 2
+                assert server.counters["net_queries"] == 1
+                assert "net_protocol_errors" not in server.counters
 
     run(scenario())
 
