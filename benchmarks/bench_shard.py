@@ -12,17 +12,12 @@ workload (pairs the fast-path pruner abstains on, exactly as ext_batch):
   shard-local waves over CSRs a fraction of the full graph's size.
   Every answer is checked against the dict BiBFS oracle; the acceptance
   bar requires >= 2.5x throughput at K=4, batch 1024, zero mismatches.
-* **Pipelined vs round-synchronous scheduling** — the same router fleet
-  serves the same batch twice, once with the PR 10 out-of-order reactor
-  (``pipeline=True``) and once with the legacy post-then-gather rounds,
-  on *searchable* pairs (pairs :func:`repro.shard.classify_pair` sends
-  to workers — the rule ladder is identical in both modes, so rule-hit
-  pairs would only dilute the scheduling contrast) and on a mixed
-  hard-pair batch. ``speedup_pipelined_vs_sync`` rides the pipelined
-  rows; it scales with the host's core count (the committed baseline is
-  the single-core floor ~1.0, where the reactor merely ties the rounds),
-  and the >= 1.8x acceptance bar at K=4 applies on hosts with >= 4
-  cores.
+* **Scheduler throughput** — the router's pipelined reactor, driven
+  directly, on *searchable* pairs (pairs
+  :func:`repro.shard.classify_pair` sends to workers, so rule-hit pairs
+  do not dilute the worker-bound time) and on a mixed hard-pair batch.
+  Every verdict is oracle-checked, and searchable pairs must all
+  resolve.
 * **Scalar routing throughput** — point ``query()`` calls against a
   deployed fleet (rule-ladder probe, then a 1-lane scheduler ride on
   miss) vs the same service without shards. Labels are disabled so the
@@ -63,9 +58,9 @@ BATCH_SIZES = (1024, 4096)
 SHARD_MATRIX = {1024: (0, 2, 4, 8), 4096: (0, 4)}
 REPETITIONS = 3  # best-of, fresh service per rep (caches must stay cold)
 
-#: Shard counts for the pipelined-vs-sync scheduling contrast.
+#: Shard counts for the scheduler throughput legs.
 PIPE_SHARDS = (2, 4)
-#: Searchable pairs per scheduling-contrast batch. Only ~1 hard pair in
+#: Searchable pairs per scheduler-leg batch. Only ~1 hard pair in
 #: 8 survives the rule ladder on this graph, so the candidate slice is
 #: 8x this.
 PIPE_BATCH = 512
@@ -129,13 +124,11 @@ def _searchable_pairs(plan, candidates, limit):
 
 
 def run_pipeline_legs(graph, candidates, oracle):
-    """Same fleet, same batch, both schedulers — rows per (K, mode).
+    """Worker-bound scheduler throughput — rows per (K, leg).
 
     The router is driven directly (no service prefilter, no labels) so
-    the timed call is exactly the worker-side execution the two
-    schedulers order differently. One fleet serves both modes within a
-    repetition — toggling ``router.pipeline`` between timed calls keeps
-    partition, segments, and workers identical across the A/B.
+    the timed call is exactly the worker-side execution the scheduler
+    orders. Each repetition deploys a fresh fleet; the best wall wins.
     """
     rows = []
     for shards in PIPE_SHARDS:
@@ -143,7 +136,7 @@ def run_pipeline_legs(graph, candidates, oracle):
             f"pipeline x{PIPE_BATCH} searchable pairs": None,  # filled per fleet
             "pipeline x1024 mixed hard pairs": candidates[:1024],
         }
-        walls = {name: {"sync": float("inf"), "pipelined": float("inf")} for name in legs}
+        walls = {name: float("inf") for name in legs}
         deltas = {name: {} for name in legs}
         mismatches = {name: 0 for name in legs}
         unresolved_n = {name: 0 for name in legs}
@@ -156,41 +149,36 @@ def run_pipeline_legs(graph, candidates, oracle):
                 router.warm_fleet()  # untimed: cold-worker first-wave costs
                 router.execute_batch(candidates[:WARMUP])  # untimed warm-up
                 for name, pairs in legs.items():
-                    for mode in ("sync", "pipelined"):
-                        router.pipeline = mode == "pipelined"
-                        before = dict(router.counters)
-                        start = time.perf_counter()
-                        resolved, unresolved = router.execute_batch(pairs)
-                        wall_s = time.perf_counter() - start
-                        mismatches[name] += sum(
-                            answer != oracle[pair]
-                            for pair, (answer, _how) in resolved.items()
-                        )
-                        unresolved_n[name] += len(unresolved)
-                        if wall_s < walls[name][mode]:
-                            walls[name][mode] = wall_s
-                            deltas[name][mode] = {
-                                c: router.counters.get(c, 0) - before.get(c, 0)
-                                for c in ("route_wave_pairs", "route_cross_pairs")
-                            }
+                    before = dict(router.counters)
+                    start = time.perf_counter()
+                    resolved, unresolved = router.execute_batch(pairs)
+                    wall_s = time.perf_counter() - start
+                    mismatches[name] += sum(
+                        answer != oracle[pair]
+                        for pair, (answer, _how) in resolved.items()
+                    )
+                    unresolved_n[name] += len(unresolved)
+                    if wall_s < walls[name]:
+                        walls[name] = wall_s
+                        deltas[name] = {
+                            c: router.counters.get(c, 0) - before.get(c, 0)
+                            for c in ("route_wave_pairs", "route_cross_pairs")
+                        }
         for name, pairs in legs.items():
-            for mode in ("sync", "pipelined"):
-                row = {
+            rows.append(
+                {
                     "measurement": name,
                     "shards": shards,
-                    "mode": mode,
-                    "wall_s": walls[name][mode],
-                    "queries_per_s": len(pairs) / walls[name][mode],
-                    "route_wave_pairs": deltas[name][mode]["route_wave_pairs"],
-                    "route_cross_pairs": deltas[name][mode]["route_cross_pairs"],
+                    # Part of the trajectory row key the committed rows use.
+                    "mode": "pipelined",
+                    "wall_s": walls[name],
+                    "queries_per_s": len(pairs) / walls[name],
+                    "route_wave_pairs": deltas[name]["route_wave_pairs"],
+                    "route_cross_pairs": deltas[name]["route_cross_pairs"],
                     "shard_unresolved": unresolved_n[name],
                     "mismatches": mismatches[name],
                 }
-                if mode == "pipelined":
-                    row["speedup_pipelined_vs_sync"] = (
-                        walls[name]["sync"] / walls[name]["pipelined"]
-                    )
-                rows.append(row)
+            )
     return rows
 
 
@@ -362,16 +350,6 @@ def test_ext_shard(benchmark, emit):
             assert row["speedup_vs_single"] >= 1.2, row
         if "searchable" in row["measurement"]:
             assert row["shard_unresolved"] == 0, row
-        # The reactor's win is worker-level parallelism; on fewer than 4
-        # cores the acceptance bar is meaningless (both modes serialize
-        # onto the same CPUs), so only the zero-mismatch contract gates.
-        if (
-            row.get("mode") == "pipelined"
-            and row.get("shards") == 4
-            and "searchable" in row["measurement"]
-            and (os.cpu_count() or 1) >= 4
-        ):
-            assert row["speedup_pipelined_vs_sync"] >= 1.8, row
     routed = next(
         r for r in rows
         if r["measurement"].startswith("scalar routing") and r["shards"] == 4
@@ -407,7 +385,6 @@ def test_ext_shard(benchmark, emit):
             "wall_s",
             "queries_per_s",
             "speedup_vs_single",
-            "speedup_pipelined_vs_sync",
             "route_rules",
             "route_wave_pairs",
             "route_cross_pairs",

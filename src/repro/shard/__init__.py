@@ -6,8 +6,8 @@ inside any SCC too big to balance), publishes each shard's frozen
 :class:`~repro.graph.snapshot.CSRSnapshot` into
 ``multiprocessing.shared_memory`` for zero-copy worker processes, and
 routes queries: intra-shard pairs as one worker round trip, cross-shard
-pairs as a scatter–gather join of per-shard bit-parallel closures through
-the condensation DAG.
+pairs as a join of per-shard bit-parallel closures through the
+condensation DAG.
 
 Layering: :mod:`repro.shard.partition` is pure graph analysis (no
 processes), :mod:`repro.shard.memory` owns the shared-memory segment

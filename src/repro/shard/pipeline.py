@@ -1,9 +1,9 @@
 """Event-driven pipelined scheduler over the shard worker pool.
 
-The legacy router runs one cross-shard group at a time and barriers on
-every BFS round: post to the frontier shards, block until the slowest
-reply, repeat. K workers mostly idle while one round's straggler
-finishes. This module replaces that with a reactor:
+Every routed batch (and every scalar rider) runs on one reactor. It
+does not barrier on BFS rounds — posting to the frontier shards, then
+blocking on the slowest reply — so K workers do not idle while one
+round's straggler finishes:
 
 - **Jobs, not rounds.** The unit of work is one tagged request — an
   intra-shard ≤64-lane wave or one shard's closure step of one
@@ -12,8 +12,7 @@ finishes. This module replaces that with a reactor:
   (per-shard ``sent`` masks and the ``result`` word only grow), so it is
   confluent: a group may advance the moment *its own* reply lands,
   regardless of what other shards or other groups are doing. No round
-  barrier is needed for correctness — only for the old code's control
-  flow.
+  barrier is needed for correctness.
 - **Worker pool.** Every worker has every shard's segment attached
   (shared physical pages), so any job can run on any worker. The
   scheduler posts to the least-loaded live worker, bounded by a
@@ -25,10 +24,9 @@ finishes. This module replaces that with a reactor:
   reactor can hold many requests in flight per worker and match each
   reply to its job no matter the completion order across the fleet.
 
-**Containment.** The PR 9 contract holds under pipelining: a worker
-death (pipe error, EOF, or oldest-request age past ``call_timeout_s`` —
-the SIGSTOP conviction) kills only that worker and fails only *its*
-in-flight jobs. A failed intra job surrenders its pairs as unresolved; a
+**Containment.** A worker death (pipe error, EOF, or oldest-request age
+past ``call_timeout_s`` — the SIGSTOP conviction) kills only that worker
+and fails only *its* in-flight jobs. A failed intra job surrenders its pairs as unresolved; a
 failed cross job cancels its whole group (all-or-nothing: a partial
 fixpoint could answer a lane ``False`` while the dead shard held its
 only path). A cancelled group's requests still in flight on *surviving*
@@ -348,7 +346,6 @@ class PipelineRun:
         elif group.outstanding == 0 and not group.done:
             group.done = True
             self.resolved.update(group.verdicts())
-            self._router._incr("route_cross_groups")
             self._router._incr("route_cross_pairs", len(group.pairs))
 
     def _note_reply_failure(self, kind: str, payload) -> None:

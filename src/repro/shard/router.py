@@ -1,4 +1,4 @@
-"""Scatter–gather query routing over a shard fleet.
+"""Query routing over a shard fleet.
 
 The router owns one :class:`~repro.shard.partition.ShardPlan`, one
 published shared-memory segment per shard, and one spawned worker per
@@ -12,14 +12,14 @@ shard. For a batch of (source, target) pairs it resolves, in order:
    from ``shard(s)`` in the shard DAG;
 4. **intra-shard** (both endpoints in one closed segment) → one
    ≤64-lane bit-parallel wave on that shard's worker, verdicts final;
-5. **cross-shard** → scatter–gather: lanes are packed 64 to a group,
-   each shard's worker computes the bit-label closure of the lanes'
-   entry vertices (:func:`~repro.graph.bitsearch.csr_bit_reach`), and
-   the router joins returned boundary masks across shards along the
-   condensation DAG's cross edges, pruning lanes per shard through the
-   quotient closure. Monotone per-shard ``sent`` masks make the fixpoint
-   terminate; draining without reaching a lane's target proves its
-   negative (closures are exhaustive).
+5. **cross-shard** → lanes are packed 64 to a group, each shard's
+   worker computes the bit-label closure of the lanes' entry vertices
+   (:func:`~repro.graph.bitsearch.csr_bit_reach`), and the router joins
+   returned boundary masks across shards along the condensation DAG's
+   cross edges, pruning lanes per shard through the quotient closure.
+   Monotone per-shard ``sent`` masks make the fixpoint terminate;
+   draining without reaching a lane's target proves its negative
+   (closures are exhaustive).
 
 **Containment and respawn.** Any worker failure — died process, pipe
 error, call timeout, stale version, expired budget — marks that worker
@@ -42,23 +42,22 @@ segments, and either swaps workers in place (same worker count, all
 alive) or respawns the fleet; old segments are unlinked after the swap
 acknowledges.
 
-**Pipelined execution (default).** Workers are a *pool*, not
-shard-bound processes: every worker attaches every shard's segment
-(shared physical pages — the cost is page-table entries), so any wave
-or closure step can run on any worker. With ``pipeline=True`` a batch's
-intra waves and cross-group closure steps all become tagged jobs on one
-:class:`~repro.shard.pipeline.PipelineRun` reactor, which multiplexes
-all worker pipes with :func:`multiprocessing.connection.wait`, keeps up
-to ``inflight_window`` requests in flight per worker, and advances each
+**Execution.** Workers are a *pool*, not shard-bound processes: every
+worker attaches every shard's segment (shared physical pages — the cost
+is page-table entries), so any wave or closure step can run on any
+worker. A batch's intra waves and cross-group closure steps all become
+tagged jobs on one :class:`~repro.shard.pipeline.PipelineRun` reactor,
+which multiplexes all worker pipes with
+:func:`multiprocessing.connection.wait`, keeps up to
+``inflight_window`` requests in flight per worker, and advances each
 cross-shard fixpoint the moment its own replies land (the monotone sent
-masks make the fixpoint confluent, so no round barrier is needed). With
-``pipeline=False`` the legacy round-synchronous path runs — still
-improved: :meth:`_scatter` gathers with ``connection.wait`` instead of
-reading replies in posted order, so a slow shard no longer delays
-reading faster shards' replies. Scalar point queries ride the same
-machinery via :meth:`route_scalar`: the O(1) ladder answers lock-free;
-a searchable miss becomes a 1-lane run if the fleet is idle, and backs
-off to the caller when a batch holds the route lock.
+masks make the fixpoint confluent, so no round barrier is needed).
+Control calls (ping, probe, swap, stop, warm-up waves) are tagged the
+same way, one at a time, through :class:`ShardWorkerHandle`. Scalar
+point queries ride the same reactor via :meth:`route_scalar`: the O(1)
+ladder answers lock-free; a searchable miss becomes a 1-lane run if the
+fleet is idle, and backs off to the caller when a batch holds the route
+lock.
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from collections import deque
-from multiprocessing import connection as mp_connection
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.snapshot import CSRSnapshot
@@ -77,7 +74,7 @@ from repro.shard.partition import ShardPlan, partition_graph
 from repro.shard.pipeline import PipelineRun
 from repro.shard.worker import shard_worker_main
 
-#: Lanes per cross-shard scatter–gather group (one uint64 word).
+#: Lanes per cross-shard group (one uint64 word).
 GROUP_LANES = 64
 
 Pair = Tuple[int, int]
@@ -140,29 +137,44 @@ class _OverBudget(Exception):
 
 
 class ShardWorkerHandle:
-    """The primary's handle on one spawned shard worker."""
+    """The primary's handle on one spawned shard worker.
+
+    Control calls go one at a time, tagged like every scheduler request:
+    :meth:`post` sends ``(req_id, msg)`` and :meth:`wait` insists the
+    reply echoes that id. Between calls the pipe is idle — a
+    :class:`~repro.shard.pipeline.PipelineRun` drains or convicts every
+    request it posted before it returns — so a mismatched id means the
+    pipe lost coherence and the worker is convicted.
+    """
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.alive = True
+        self._last_id = 0
 
-    def post(self, msg: Tuple) -> None:
-        """Send one message without waiting — pair with :meth:`wait`."""
+    def post(self, msg: Tuple) -> int:
+        """Send one tagged message without waiting — pair with :meth:`wait`."""
         if not self.alive:
             raise WorkerDied("worker already marked dead")
+        self._last_id += 1
         try:
-            self.conn.send(msg)
+            self.conn.send((self._last_id, msg))
         except (OSError, BrokenPipeError) as exc:
             self.kill()
             raise WorkerDied(f"worker pipe failed: {exc!r}") from exc
+        return self._last_id
 
     def wait(self, timeout_s: float) -> Tuple:
         """Collect the reply to the last :meth:`post`."""
         try:
             if not self.conn.poll(timeout_s):
                 raise WorkerDied(f"worker call timed out after {timeout_s}s")
-            reply = self.conn.recv()
+            req_id, reply = self.conn.recv()
+            if req_id != self._last_id:
+                raise WorkerDied(
+                    f"reply tagged {req_id!r}, expected {self._last_id}"
+                )
         except WorkerDied:
             self.kill()
             raise
@@ -205,15 +217,11 @@ class ShardWorkerHandle:
     def stop(self, timeout_s: float = 2.0) -> None:
         if self.alive:
             try:
-                self.conn.send(("stop",))
+                self.post(("stop",))
                 self.conn.poll(timeout_s)
-            except (OSError, BrokenPipeError):
+            except (WorkerDied, OSError):
                 pass
         self.kill()
-
-
-#: Back-compat alias (pre-respawn name).
-_Worker = ShardWorkerHandle
 
 
 class ShardRouter:
@@ -225,7 +233,6 @@ class ShardRouter:
         num_shards: int,
         *,
         num_workers: Optional[int] = None,
-        pipeline: bool = True,
         inflight_window: int = 4,
         call_timeout_s: float = 30.0,
         auto_respawn: bool = True,
@@ -238,7 +245,6 @@ class ShardRouter:
             raise ValueError("ShardRouter needs num_workers >= 1")
         self.requested_shards = num_shards
         self.requested_workers = num_workers
-        self.pipeline = pipeline
         self.inflight_window = max(1, inflight_window)
         self.call_timeout_s = call_timeout_s
         self.auto_respawn = auto_respawn
@@ -674,68 +680,22 @@ class ShardRouter:
             if n:
                 self._incr(f"route_{how}", n)
 
-        if self.pipeline:
-            if intra or cross:
-                # Every intra 64-lane chunk and every cross-group closure
-                # step becomes a tagged job on one reactor; any job can
-                # run on any worker (all segments attached), so a busy
-                # shard's waves spill into idle workers and many group
-                # fixpoints advance concurrently.
-                run = PipelineRun(
-                    self, deadline=deadline, edge_ceiling=edge_ceiling
-                )
-                for shard, plist in intra.items():
-                    for start in range(0, len(plist), GROUP_LANES):
-                        run.add_intra(shard, plist[start : start + GROUP_LANES])
-                for start in range(0, len(cross), GROUP_LANES):
-                    run.add_group(cross[start : start + GROUP_LANES])
-                run_resolved, run_unresolved = run.run()
-                resolved.update(run_resolved)
-                unresolved.extend(run_unresolved)
-                self._incr("route_pipeline_batches")
-        else:
-            if intra:
-                # One batched call per shard — the worker chunks into
-                # 64-lane waves itself, so a shard's whole intra load
-                # costs one IPC round trip — posted to every shard
-                # before the first reply is collected.
-                plan_version = plan.version
-                replies, failures = self._scatter(
-                    {
-                        shard: (
-                            "wave",
-                            plan_version,
-                            shard,
-                            plist,
-                            "forward",
-                            self._time_left(deadline),
-                            edge_ceiling,
-                        )
-                        for shard, plist in intra.items()
-                    }
-                )
-                for shard, exc in failures.items():
-                    self._note_failure(exc)
-                    unresolved.extend(intra[shard])
-                for shard, reply in replies.items():
-                    _ok, answers, stats = reply
-                    self._incr("worker_edge_accesses", int(stats[2]))
-                    for pair, answer in zip(intra[shard], answers):
-                        resolved[pair] = (answer, "wave")
-                    self._incr("route_waves", int(stats[4]))
-                    self._incr("route_wave_pairs", len(intra[shard]))
-
+        if intra or cross:
+            # Every intra 64-lane chunk and every cross-group closure
+            # step becomes a tagged job on one reactor; any job can run
+            # on any worker (all segments attached), so a busy shard's
+            # waves spill into idle workers and many group fixpoints
+            # advance concurrently.
+            run = PipelineRun(self, deadline=deadline, edge_ceiling=edge_ceiling)
+            for shard, plist in intra.items():
+                for start in range(0, len(plist), GROUP_LANES):
+                    run.add_intra(shard, plist[start : start + GROUP_LANES])
             for start in range(0, len(cross), GROUP_LANES):
-                group = cross[start : start + GROUP_LANES]
-                try:
-                    verdicts = self._cross_group(group, deadline, edge_ceiling)
-                except (WorkerDied, _Stale, _OverBudget) as exc:
-                    self._note_failure(exc)
-                    unresolved.extend(group)
-                    continue
-                resolved.update(verdicts)
-                self._incr("route_cross_groups")
-                self._incr("route_cross_pairs", len(group))
+                run.add_group(cross[start : start + GROUP_LANES])
+            run_resolved, run_unresolved = run.run()
+            resolved.update(run_resolved)
+            unresolved.extend(run_unresolved)
+            self._incr("route_pipeline_batches")
 
         if unresolved:
             self._incr("route_unresolved", len(unresolved))
@@ -793,191 +753,10 @@ class ShardRouter:
         finally:
             self._route_lock.release()
 
-    def _note_failure(self, exc: Exception) -> None:
-        if isinstance(exc, WorkerDied):
-            self._incr("worker_failures")
-        elif isinstance(exc, _OverBudget):
-            self._incr("route_budget_exceeded")
-        else:
-            self._incr("route_stale")
-
     def _time_left(self, deadline: Optional[float]) -> Optional[float]:
         if deadline is None:
             return None
         return max(1e-3, deadline - time.perf_counter())
-
-    def _scatter(
-        self, msgs: Dict[int, Tuple]
-    ) -> Tuple[Dict[int, Tuple], Dict[int, Exception]]:
-        """Post one message per shard, then gather replies as they land.
-
-        All messages are in flight before the first reply is read, and
-        the gather multiplexes every posted pipe with
-        ``connection.wait`` — replies are consumed in *arrival* order,
-        so one slow shard no longer blocks reading the fast shards'
-        finished replies (the old gather waited in posted order). Each
-        worker serves its pipe FIFO, so per-worker replies still match
-        posts positionally. Workers that answer nothing within
-        ``call_timeout_s`` of the gather's start are convicted and
-        killed (the SIGSTOP catch). Returns ``(replies, failures)`` per
-        shard.
-        """
-        replies: Dict[int, Tuple] = {}
-        failures: Dict[int, Exception] = {}
-        fifo: Dict[int, Deque[int]] = {}
-        for shard, msg in msgs.items():
-            widx = shard % len(self._workers) if self._workers else 0
-            try:
-                self._workers[widx].post(msg)
-            except WorkerDied as exc:
-                failures[shard] = exc
-                continue
-            fifo.setdefault(widx, deque()).append(shard)
-        deadline = time.monotonic() + self.call_timeout_s
-        while fifo:
-            conns = {self._workers[w].conn: w for w in fifo}
-            timeout = max(0.0, deadline - time.monotonic())
-            ready = mp_connection.wait(list(conns), timeout=timeout)
-            if not ready:
-                timed_out = WorkerDied(
-                    f"worker call timed out after {self.call_timeout_s}s"
-                )
-                for widx in list(fifo):
-                    self._workers[widx].kill()
-                    for shard in fifo.pop(widx):
-                        failures[shard] = timed_out
-                break
-            for conn in ready:
-                widx = conns[conn]
-                queue = fifo.get(widx)
-                if not queue:
-                    continue
-                try:
-                    while queue:
-                        reply = conn.recv()
-                        shard = queue.popleft()
-                        kind = reply[0]
-                        if kind == "stale":
-                            failures[shard] = _Stale(str(reply[1]))
-                        elif kind == "budget":
-                            failures[shard] = _OverBudget(str(reply[1]))
-                        elif kind == "error":
-                            failures[shard] = WorkerDied(
-                                f"worker error: {reply[1]}"
-                            )
-                        else:
-                            replies[shard] = reply
-                        if not conn.poll(0):
-                            break
-                except (EOFError, OSError, BrokenPipeError) as exc:
-                    self._workers[widx].kill()
-                    died = WorkerDied(f"worker pipe failed: {exc!r}")
-                    for shard in queue:
-                        failures[shard] = died
-                    queue.clear()
-                if not queue:
-                    del fifo[widx]
-        return replies, failures
-
-    def _cross_group(
-        self,
-        group: List[Pair],
-        deadline: Optional[float],
-        edge_ceiling: Optional[int],
-    ) -> Dict[Pair, Verdict]:
-        """Scatter–gather fixpoint for ≤64 cross-shard lanes."""
-        plan = self._plan
-        assert plan is not None
-        target_shard = [plan.shard_of[t] for _, t in group]
-
-        # Lane prune mask per shard: a lane enters shard k only if k can
-        # still reach the lane's target shard in the quotient closure.
-        prune_cache: Dict[int, int] = {}
-
-        def prune_mask(shard: int) -> int:
-            mask = prune_cache.get(shard)
-            if mask is None:
-                mask = 0
-                reach = plan.quotient_reach[shard]
-                for lane, kt in enumerate(target_shard):
-                    if kt in reach:
-                        mask |= 1 << lane
-                prune_cache[shard] = mask
-            return mask
-
-        # Targets to probe inside each shard, by lane mask.
-        targets_in: Dict[int, Dict[int, int]] = {}
-        for lane, (_s, t) in enumerate(group):
-            shard_targets = targets_in.setdefault(target_shard[lane], {})
-            shard_targets[t] = shard_targets.get(t, 0) | (1 << lane)
-
-        sent: Dict[int, Dict[int, int]] = {}
-        frontier: Dict[int, Dict[int, int]] = {}
-        for lane, (s, _t) in enumerate(group):
-            shard_seeds = frontier.setdefault(plan.shard_of[s], {})
-            shard_seeds[s] = shard_seeds.get(s, 0) | (1 << lane)
-
-        result = 0
-        rounds = 0
-        while frontier:
-            # One scatter round: every frontier shard gets its seeds in
-            # one posted message, replies are gathered together — the
-            # round trips of a whole BFS level overlap instead of
-            # queueing one behind another.
-            msgs: Dict[int, Tuple] = {}
-            for shard, seeds in frontier.items():
-                live = prune_mask(shard) & ~result
-                shard_sent = sent.setdefault(shard, {})
-                fresh: List[Tuple[int, int]] = []
-                for v, mask in seeds.items():
-                    mask &= live & ~shard_sent.get(v, 0)
-                    if mask:
-                        fresh.append((v, mask))
-                        shard_sent[v] = shard_sent.get(v, 0) | mask
-                if fresh:
-                    msgs[shard] = (
-                        "reach",
-                        plan.version,
-                        shard,
-                        fresh,
-                        list(targets_in.get(shard, {})),
-                        True,
-                        self._time_left(deadline),
-                        edge_ceiling,
-                    )
-            if not msgs:
-                break
-            rounds += 1
-            replies, failures = self._scatter(msgs)
-            if failures:
-                # Containment is all-or-nothing per group: a partial
-                # fixpoint could answer a lane False while the dead
-                # shard held its only path. _scatter already drained
-                # the surviving replies, so the pipes stay coherent.
-                raise next(iter(failures.values()))
-            frontier = {}
-            for shard, reply in replies.items():
-                _ok, labels, stats = reply
-                self._incr("worker_edge_accesses", int(stats[2]))
-                for t, lane_mask in targets_in.get(shard, {}).items():
-                    result |= labels.get(t, 0) & lane_mask
-                cross_edges = plan.cross_out.get(shard, {})
-                for u, mask in labels.items():
-                    heads = cross_edges.get(u)
-                    if not heads:
-                        continue
-                    carry = mask & ~result
-                    if not carry:
-                        continue
-                    for v, kv in heads:
-                        next_seeds = frontier.setdefault(kv, {})
-                        next_seeds[v] = next_seeds.get(v, 0) | carry
-        self._incr("route_cross_rounds", rounds)
-
-        verdicts: Dict[Pair, Verdict] = {}
-        for lane, pair in enumerate(group):
-            verdicts[pair] = (bool((result >> lane) & 1), "cross")
-        return verdicts
 
     # ------------------------------------------------------------------
     # Introspection
@@ -986,7 +765,6 @@ class ShardRouter:
         plan_summary = self._plan.summary() if self._plan is not None else {}
         return {
             "requested_shards": self.requested_shards,
-            "mode": "pipelined" if self.pipeline else "sync",
             "inflight_window": self.inflight_window,
             "healthy": self.healthy,
             "num_workers": len(self._workers),

@@ -287,7 +287,6 @@ class TestRouter:
         assert stats["plan"]["num_shards"] == router.num_shards
         assert stats["healthy"] is True
         assert stats["workers_alive"] == router.num_shards
-        assert stats["mode"] == "pipelined"
         assert stats["num_workers"] == router.num_shards
         assert stats["inflight_window"] >= 1
         assert stats["counters"].get("deploys", 0) >= 1
@@ -478,45 +477,49 @@ def test_kill_midwave_releases_cleanly():
 @needs_fleet
 @pytest.mark.shard
 def test_worker_death_mid_cross_fixpoint(monkeypatch):
-    """SIGKILL a worker *between* scatter rounds of the cross-shard
-    fixpoint: the affected groups fall back unresolved (all-or-nothing —
-    a partial fixpoint could answer a lane falsely), nothing wedges, and
-    the service's local fallback keeps every answer oracle-exact."""
+    """SIGKILL a worker *between* cross-shard closure replies: it dies
+    holding a closure step whose reply never arrives, so the affected
+    groups fall back unresolved (all-or-nothing — a partial fixpoint
+    could answer a lane falsely), nothing wedges, and the service's
+    local fallback keeps every answer oracle-exact."""
     from repro.service import ReachabilityService
+    from repro.shard.pipeline import PipelineRun, _CrossJob
 
     graph = chain_graph(num_cycles=24)
     pairs = sample_pairs(graph, 150, seed=13)
     with ReachabilityService(
         # No label tier: its batch prefilter would answer the cross-shard
         # pairs before any worker round trip, and this test needs the
-        # fixpoint to actually run. Sync mode: the round-based fixpoint
-        # (and its ``_scatter`` seam) only exists with pipelining off —
-        # the pipelined equivalent is covered by the mid-pipeline kill
-        # tests below.
+        # fixpoint to actually run.
         graph.copy(), shards=3, num_supportive=0, cache_capacity=4,
-        use_labels=False, shard_pipeline=False,
+        use_labels=False,
     ) as svc:
         svc.query_batch(pairs[:10], strategy="bitparallel")
         router = svc.router
         assert router is not None
-        original = router._scatter
-        state = {"reach_rounds": 0}
+        original = PipelineRun._on_reply
+        state = {"reach_replies": 0, "killed": False}
 
-        def sabotaged(msgs):
-            if any(m[0] == "reach" for m in msgs.values()):
-                state["reach_rounds"] += 1
-                if state["reach_rounds"] == 2:
-                    victim = router._workers[next(iter(msgs))]
-                    if victim.process.is_alive():
-                        os.kill(victim.process.pid, signal.SIGKILL)
-                        victim.process.join(5)
-            return original(msgs)
+        def sabotaged(self, widx, reply):
+            entry = self._inflight.get(reply[0])
+            if entry is not None and isinstance(entry[0], _CrossJob):
+                state["reach_replies"] += 1
+                if state["reach_replies"] == 2 and not state["killed"]:
+                    # The worker dies before this closure reply is read:
+                    # drop it, so the step stays in flight on a dead pipe.
+                    victim = router._workers[widx]
+                    os.kill(victim.process.pid, signal.SIGKILL)
+                    victim.process.join(5)
+                    state["killed"] = True
+                    return
+            original(self, widx, reply)
 
-        monkeypatch.setattr(router, "_scatter", sabotaged)
+        monkeypatch.setattr(PipelineRun, "_on_reply", sabotaged)
         outcomes = svc.query_batch(pairs, strategy="bitparallel")
         for (s, t), outcome in zip(pairs, outcomes):
             assert outcome.answer == is_reachable_bfs(graph, s, t), (s, t)
-        assert state["reach_rounds"] >= 2  # the sabotage actually fired
+        assert state["killed"]  # the sabotage actually fired
+        assert not router.healthy
         counters = svc.stats()["counters"]
         assert counters.get("shard_unresolved", 0) > 0
 
@@ -529,8 +532,8 @@ def test_worker_death_mid_cross_fixpoint(monkeypatch):
 def test_tagged_protocol_reply_matching(fleet):
     """The wire protocol: multiple tagged requests in flight on one pipe
     echo their ids back, any worker serves any shard's wave (the pool
-    has every segment attached), and untagged control messages keep the
-    legacy bare-reply shape."""
+    has every segment attached), and the handle's control calls speak
+    the same tagged shape."""
     graph, router = fleet
     worker = router._workers[0]
     worker.conn.send((11, ("ping",)))
@@ -557,34 +560,8 @@ def test_tagged_protocol_reply_matching(fleet):
     for (s, t), answer in zip(wave_pairs, reply[1]):
         assert answer == is_reachable_bfs(sub, s, t), (s, t)
 
-    worker.conn.send(("ping",))
-    assert worker.conn.recv() == ("ok", router.version)
-
-
-@needs_fleet
-@pytest.mark.shard
-def test_sync_mode_batch_matches_oracle():
-    """pipeline=False keeps the round-synchronous path alive (the bench
-    baseline): oracle-exact, counts rounds not pipeline batches, and its
-    rewritten ``connection.wait`` gather drains every posted reply."""
-    # num_cycles != the module fixture's default: segment names embed
-    # (pid, shard, version), so a same-version second fleet would clash.
-    graph = chain_graph(num_cycles=32)
-    pairs = sample_pairs(graph, 200, seed=19)
-    router = ShardRouter(graph, 3, pipeline=False, call_timeout_s=20.0)
-    try:
-        assert router.stats()["mode"] == "sync"
-        resolved, unresolved = router.execute_batch(pairs)
-        assert not unresolved
-        for (s, t), (answer, how) in resolved.items():
-            assert answer == is_reachable_bfs(graph, s, t), (s, t, how)
-        assert router.counters.get("route_pipeline_batches", 0) == 0
-        assert router.counters.get("route_cross_rounds", 0) >= 1
-        # A second batch proves the pipes stayed request/reply coherent.
-        resolved, unresolved = router.execute_batch(pairs[:50])
-        assert not unresolved
-    finally:
-        router.close()
+    assert worker.call(("ping",), 5.0) == ("ok", router.version)
+    assert worker.call(("probe", router.version), 5.0)[0] == "ok"
 
 
 @needs_fleet
