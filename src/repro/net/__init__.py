@@ -3,7 +3,8 @@
 Three pieces, all asyncio and all pure-stdlib (no numpy dependency, so
 the wire layer runs unchanged on the no-kernel fallback substrate):
 
-* :mod:`repro.net.protocol` — length-prefixed JSON framing and the
+* :mod:`repro.net.protocol` — length-prefixed framing (packed bodies
+  for the per-read messages, JSON for the rest) and the
   message vocabulary (``query`` / ``batch`` / ``update`` / ``stats`` /
   ``subscribe`` / ``ping``).
 * :mod:`repro.net.server` — :class:`ReachabilityServer`, which serves a

@@ -39,8 +39,9 @@ Scenarios
     converge to the exact watermark — reads from it match the oracle.
 ``torn-frames``
     Raw socket writes of truncated, oversized, and undecodable frames
-    interleave with a legitimate workload. The server must drop the
-    poisoned connections (counted) and keep answering everyone else
+    (JSON garbage, and packed bodies of the wrong size) interleave with
+    a legitimate workload. The server must drop the poisoned
+    connections (each one counted) and keep answering everyone else
     exactly.
 """
 
@@ -612,6 +613,11 @@ async def _send_raw(host: str, port: int, payload: bytes) -> None:
         await writer.wait_closed()
 
 
+def _reframe(body: bytes) -> bytes:
+    """``body`` as one complete frame, whatever it holds."""
+    return struct.pack(">I", len(body)) + body
+
+
 async def scenario_torn_frames(
     *, ops: int = 120, checks: int = 120, seed: int = 0
 ) -> Dict[str, object]:
@@ -624,6 +630,21 @@ async def scenario_torn_frames(
     service = ReachabilityService(graph.copy(), num_workers=2, num_supportive=0)
     server = await ReachabilityServer(service, port=0).start()
     host, port = server.address
+    query_body = protocol.encode(
+        {"type": protocol.QUERY, "id": 1, "s": 0, "t": 1}
+    )[4:]
+    result_body = protocol.encode(
+        {
+            "type": protocol.RESULT,
+            "id": 1,
+            "s": 0,
+            "t": 1,
+            "answer": True,
+            "confident": True,
+            "via": "fastpath",
+            "version": 0,
+        }
+    )[4:]
     torn = [
         # Header promises 100 bytes, the connection dies after 10.
         struct.pack(">I", 100) + b"0123456789",
@@ -633,6 +654,10 @@ async def scenario_torn_frames(
         struct.pack(">I", 8) + b"not-json",
         # Truncated header itself.
         b"\x00\x00",
+        # Complete frame, packed query body one byte short.
+        _reframe(query_body[:-1]),
+        # Complete frame, packed result whose via length runs past it.
+        _reframe(result_body[:-3]),
     ]
     next_vertex = max(verts) + 1
     mismatches = 0
@@ -670,7 +695,8 @@ async def scenario_torn_frames(
             "protocol_errors": protocol_errors,
             "oracle_checked": checks,
             "mismatches": mismatches,
-            "ok": mismatches == 0 and protocol_errors >= 1,
+            # Every injected frame is connection-fatal, so each counts.
+            "ok": mismatches == 0 and protocol_errors >= injected,
         }
     finally:
         await server.stop()

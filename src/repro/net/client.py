@@ -127,14 +127,25 @@ class ReachabilityClient:
     async def _request(self, message: dict) -> dict:
         if self._closed:
             raise ConnectionLost("client closed")
+        if self._reader_task.done():
+            # Nothing would ever resolve a future registered now.
+            raise ConnectionLost("connection closed by server")
         self._next_id += 1
         mid = message["id"] = self._next_id
         future: "asyncio.Future[dict]" = (
             asyncio.get_running_loop().create_future()
         )
         self._pending[mid] = future
-        self._writer.write(protocol.encode(message))
-        await self._writer.drain()
+        try:
+            self._writer.write(protocol.encode(message))
+            await self._writer.drain()
+        except OSError as exc:
+            self._pending.pop(mid, None)
+            if future.done():
+                future.exception()  # the loss is reported below instead
+            else:
+                future.cancel()
+            raise ConnectionLost(str(exc) or type(exc).__name__) from exc
         reply = await future
         if reply.get("type") == protocol.ERROR:
             raise ServerError(reply.get("error", "unknown"))

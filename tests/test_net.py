@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
+import json
+import struct
 import threading
 import time
 
@@ -19,6 +22,7 @@ from repro.graph import HAVE_NUMPY
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.net import (
+    ConnectionLost,
     ReachabilityClient,
     ReachabilityServer,
     ReplicaNode,
@@ -444,6 +448,113 @@ def test_malformed_query_gets_request_error_and_keeps_connection(coalesce):
                 assert server.counters["net_request_errors"] == 2
                 assert server.counters["net_queries"] == 1
                 assert "net_protocol_errors" not in server.counters
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_hand_written_json_frames_get_packed_replies(coalesce):
+    """JSON ``query``/``batch`` frames are still answered; the server's
+    replies use the packed bodies on every batch strategy."""
+
+    def json_frame(message):
+        body = json.dumps(message).encode("utf-8")
+        return struct.pack(">I", len(body)) + body
+
+    async def scenario():
+        graph = chain_graph()
+        with ReachabilityService(graph, num_workers=2) as service:
+            async with serving(service, coalesce=coalesce) as server:
+                reader, writer = await asyncio.open_connection(
+                    *server.address
+                )
+                requests = [
+                    {"type": "query", "id": i, "s": i, "t": 40}
+                    for i in range(3)
+                ] + [
+                    {
+                        "type": "batch",
+                        "id": 10 + k,
+                        "pairs": [[0, 40], [40, 0], [0, 1040], [1000, 1040]],
+                        "strategy": strategy,
+                    }
+                    for k, strategy in enumerate(
+                        ("auto", "scalar", "bitparallel")
+                    )
+                ]
+                writer.write(b"".join(json_frame(m) for m in requests))
+                await writer.drain()
+                data, replies = b"", []
+                decoder = protocol.FrameDecoder()
+                while len(replies) < len(requests):
+                    chunk = await reader.read(protocol.READ_SIZE)
+                    assert chunk, "server hung up"
+                    data += chunk
+                    replies.extend(decoder.feed(chunk))
+                writer.close()
+        by_id = {reply["id"]: reply for reply in replies}
+        for i in range(3):
+            assert by_id[i]["type"] == protocol.RESULT
+            assert by_id[i]["answer"] is True
+        for k in range(3):
+            outcomes = by_id[10 + k]["outcomes"]
+            assert [o["answer"] for o in outcomes] == [True, False, False, True]
+        # Every reply frame is packed: walk the frames by their headers.
+        pos = 0
+        while pos < len(data):
+            (length,) = struct.unpack_from(">I", data, pos)
+            assert data[pos + 4] in (2, 4)
+            pos += 4 + length
+
+    run(scenario())
+
+
+def test_requests_after_server_abort_raise_connection_lost():
+    async def abort(reader, writer):
+        writer.transport.abort()
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        logged = []
+        loop.set_exception_handler(lambda _, context: logged.append(context))
+        server = await asyncio.start_server(abort, "127.0.0.1", 0)
+        try:
+            port = server.sockets[0].getsockname()[1]
+            client = await ReachabilityClient.open("127.0.0.1", port)
+            await wait_until(client._reader_task.done)
+            for _ in range(2):
+                with pytest.raises(ConnectionLost):
+                    await asyncio.wait_for(client.query(0, 1), 5.0)
+            assert client._pending == {}
+            await client.close()
+        finally:
+            server.close()
+            await server.wait_closed()
+        gc.collect()
+        await asyncio.sleep(0)
+        assert [context["message"] for context in logged] == []
+
+    run(scenario())
+
+
+def test_failed_request_write_raises_connection_lost_and_forgets_it():
+    async def scenario():
+        graph = chain_graph(10)
+        with ReachabilityService(graph, num_workers=2) as service:
+            async with serving(service) as server:
+                client = await ReachabilityClient.open(*server.address)
+                try:
+                    assert (await client.query(0, 10)).answer
+
+                    async def broken_drain():
+                        raise ConnectionResetError("Connection lost")
+
+                    client._writer.drain = broken_drain
+                    with pytest.raises(ConnectionLost, match="lost"):
+                        await asyncio.wait_for(client.query(0, 10), 5.0)
+                    assert client._pending == {}
+                finally:
+                    await client.close()
 
     run(scenario())
 
