@@ -35,6 +35,7 @@ import pytest
 from repro.baselines.bibfs import bibfs_is_reachable
 from repro.datasets.scale_free import preferential_attachment_graph
 from repro.graph import HAVE_NUMPY
+from repro.graph.dag import DynamicDAG
 from repro.service import ReachabilityService
 from repro.shard import ShardRouter, classify_pair
 
@@ -141,7 +142,9 @@ def run_pipeline_legs(graph, candidates, oracle):
         mismatches = {name: 0 for name in legs}
         unresolved_n = {name: 0 for name in legs}
         for _ in range(REPETITIONS):
-            with ShardRouter(graph, shards, num_workers=shards) as router:
+            with ShardRouter(
+                DynamicDAG(graph), shards, num_workers=shards
+            ) as router:
                 assert router.healthy
                 legs[f"pipeline x{PIPE_BATCH} searchable pairs"] = (
                     _searchable_pairs(router._plan, candidates, PIPE_BATCH)

@@ -634,12 +634,13 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph)
     shard_of = None
     if args.shards >= 2 and args.shard_locality > 0.0 and not args.workload:
+        from repro.graph.dag import DynamicDAG
         from repro.shard import partition_graph
 
         # Pure analysis (no worker fleet): the same partition the serving
         # router will deploy, so the locality knob biases toward genuine
         # intra-shard traffic.
-        shard_of = partition_graph(graph, args.shards).shard_of
+        shard_of = partition_graph(DynamicDAG(graph), args.shards).shard_of
     if args.workload:
         ops = load_workload(args.workload)
     else:

@@ -5,8 +5,16 @@ strongly connected components. On a dynamic graph the condensation itself
 must be maintained: an edge insertion may merge a chain of SCCs into one,
 and an edge deletion inside an SCC may split it apart (Yildirim et al.,
 DAGGER, 2013). :class:`DynamicDAG` keeps the original graph, the
-vertex-to-component mapping, the condensation DAG, and inter-component edge
-multiplicities consistent under both operations.
+vertex-to-component mapping, the condensation DAG, inter-component edge
+multiplicities and topological levels consistent under both operations.
+
+The levels are the one place the serving stack orders components: every
+DAG edge strictly increases ``level``, so ``level[a] >= level[b]`` refutes
+``a`` reaching ``b``, sorting by level is a topological order, and any
+level group can be processed at once. They start as longest-path levels
+and are repaired locally: raised along out-edges when an insertion adds a
+DAG edge, reassigned on merge and split, untouched by deletions (removing
+an edge cannot violate the invariant).
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ class DynamicDAG:
     Component ids are allocated from a private counter and never reused, so
     downstream indexes can detect staleness by id. Callbacks ``on_merge`` /
     ``on_split`` let an index (e.g. DAGGER's interval labels) react to
-    condensation changes.
+    condensation changes; ``merge_count`` / ``split_count`` let a caller
+    detect them without installing a callback.
     """
 
     def __init__(self, graph: Optional[DynamicDiGraph] = None) -> None:
@@ -32,6 +41,8 @@ class DynamicDAG:
         self.dag = DynamicDiGraph()
         self.scc_of: Dict[int, int] = {}
         self.members: Dict[int, Set[int]] = {}
+        #: component id -> topological level (see the module docstring).
+        self.level: Dict[int, int] = {}
         self._edge_multiplicity: Dict[Tuple[int, int], int] = {}
         self._next_cid = 0
         self.merge_count = 0
@@ -53,9 +64,12 @@ class DynamicDAG:
         self.dag = DynamicDiGraph()
         self.scc_of.clear()
         self.members.clear()
+        self.level.clear()
         self._edge_multiplicity.clear()
+        cids = []
         for comp in strongly_connected_components(self.graph):
             cid = self._fresh_cid()
+            cids.append(cid)
             self.dag.add_vertex(cid)
             self.members[cid] = set(comp)
             for v in comp:
@@ -64,6 +78,13 @@ class DynamicDAG:
             cu, cv = self.scc_of[u], self.scc_of[v]
             if cu != cv:
                 self._add_dag_edge(cu, cv)
+        # Tarjan emits components sinks first, so one pass in reverse
+        # emission order yields longest-path-from-source levels.
+        level = self.level
+        for cid in reversed(cids):
+            level[cid] = max(
+                (level[p] + 1 for p in self.dag.in_neighbors(cid)), default=0
+            )
 
     def _add_dag_edge(self, cu: int, cv: int) -> None:
         key = (cu, cv)
@@ -71,6 +92,20 @@ class DynamicDAG:
         self._edge_multiplicity[key] = count + 1
         if count == 0:
             self.dag.add_edge(cu, cv)
+
+    def _raise_levels(self, start: int) -> None:
+        """Restore ``level[a] < level[b]`` on every DAG edge reachable from
+        ``start`` after its level was set (or raised)."""
+        dag = self.dag
+        level = self.level
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            lx = level[x]
+            for w in dag.out_neighbors(x):
+                if level[w] <= lx:
+                    level[w] = lx + 1
+                    stack.append(w)
 
     def _remove_dag_edge(self, cu: int, cv: int) -> None:
         key = (cu, cv)
@@ -117,6 +152,7 @@ class DynamicDAG:
         self.dag.add_vertex(cid)
         self.members[cid] = {v}
         self.scc_of[v] = cid
+        self.level[cid] = 0
 
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert ``(u, v)``, merging SCCs if a cycle is created.
@@ -134,6 +170,9 @@ class DynamicDAG:
             self._merge_cycle(cu, cv)
         else:
             self._add_dag_edge(cu, cv)
+            if self.level[cv] <= self.level[cu]:
+                self.level[cv] = self.level[cu] + 1
+                self._raise_levels(cv)
         return True
 
     def delete_edge(self, u: int, v: int) -> bool:
@@ -185,6 +224,10 @@ class DynamicDAG:
         for (a, b), mult in incident.items():
             self._edge_multiplicity[(a, b)] = mult
             self.dag.add_edge(a, b)
+        # Every predecessor sat below some merged component, so the merged
+        # maximum keeps in-edges increasing; out-edges are raised.
+        self.level[new_cid] = max(self.level.pop(c) for c in to_merge)
+        self._raise_levels(new_cid)
         self.merge_count += 1
         if self.on_merge is not None:
             self.on_merge(to_merge, new_cid)
@@ -228,6 +271,7 @@ class DynamicDAG:
             del self._edge_multiplicity[(w, cid)]
         self.dag.remove_vertex(cid)
         del self.members[cid]
+        old_level = self.level.pop(cid)
         new_cids: List[int] = []
         for comp in parts:
             new_cid = self._fresh_cid()
@@ -249,6 +293,14 @@ class DynamicDAG:
                 a, b = self.scc_of[w], self.scc_of[v]
                 if a != b:
                     self._add_dag_edge(a, b)
+        # Tarjan emits the parts sinks first, so reversing gives a
+        # topological order; strictly increasing levels along it satisfy
+        # every edge among the parts, and outside predecessors sat below
+        # ``old_level`` already.
+        for offset, new_cid in enumerate(reversed(new_cids)):
+            self.level[new_cid] = old_level + offset
+        for new_cid in new_cids:
+            self._raise_levels(new_cid)
         self.split_count += 1
         if self.on_split is not None:
             self.on_split(cid, new_cids)
@@ -258,7 +310,8 @@ class DynamicDAG:
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
         """Raise ``AssertionError`` if the maintained condensation disagrees
-        with one recomputed from scratch."""
+        with one recomputed from scratch, or a level is missing or fails
+        to increase along a DAG edge."""
         expected = strongly_connected_components(self.graph)
         expected_sets = {frozenset(comp) for comp in expected}
         actual_sets = {frozenset(mem) for mem in self.members.values()}
@@ -273,4 +326,6 @@ class DynamicDAG:
         )
         for (cu, cv) in expected_edges:
             assert self.dag.has_edge(cu, cv)
+            assert self.level[cu] < self.level[cv], "level fails on a DAG edge"
         assert self.dag.num_edges == len(expected_edges)
+        assert self.level.keys() == self.members.keys(), "levels diverged"

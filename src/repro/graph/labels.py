@@ -39,10 +39,11 @@ the delete side:
   ``dirty_in``). Dirty rows abstain from the rules that depend on them;
   everything else keeps answering.
 * **lazy rebuild** — :meth:`LabelIndex.observe_query` repairs on demand:
-  a *partial* rebuild recomputes only the dirty rows (Tarjan over the
-  induced dirty subgraph, sinks first, pulling clean neighbours' exact
-  rows), escalating to a *full* vectorized rebuild once the dirty
-  fraction passes ``staleness_threshold`` or the labels went ``missing``.
+  a *partial* rebuild recomputes only the dirty rows (grouped by their
+  maintained SCC and ordered by its topological level, pulling clean
+  neighbours' exact rows), escalating to a *full* vectorized rebuild once
+  the dirty fraction passes ``staleness_threshold`` or the labels went
+  ``missing``.
   Rebuilds swap a fresh :class:`_LabelState` atomically, so concurrent
   readers keep a coherent snapshot.
 
@@ -55,7 +56,12 @@ asserts both against a BFS oracle under churn):
   ``dirty_out`` vertex is itself ``dirty_out`` (symmetrically
   ``dirty_in`` under "reached-from"). This is what makes insert
   propagation's early-stop at a dirty vertex safe, and what guarantees
-  the partial rebuild's dirty subgraph never cuts an SCC in half.
+  the partial rebuild's dirty rows never cut an SCC in half.
+
+The index owns no condensation of its own: it reads the SCCs, DAG edges
+and topological levels of the :class:`~repro.graph.dag.DynamicDAG` the
+fast-path pruner maintains, so every graph mutation must go through that
+DAG before the matching ``note_*`` call.
 
 The tier is numpy-only by design (the labels *are* the packed words);
 :func:`labels_available` is ``False`` under ``REPRO_NO_NUMPY`` and the
@@ -68,9 +74,8 @@ import threading
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.graph.digraph import DynamicDiGraph
+from repro.graph.dag import DynamicDAG
 from repro.graph.kernels import HAVE_NUMPY
-from repro.graph.scc import condensation, strongly_connected_components
 
 if HAVE_NUMPY:
     import numpy as np
@@ -122,7 +127,7 @@ class _LabelState:
 
 
 class LabelIndex:
-    """Versioned DL/BL label matrices over one :class:`DynamicDiGraph`.
+    """Versioned DL/BL label matrices over one :class:`DynamicDAG`'s graph.
 
     All mutating entry points (``note_insert`` / ``note_delete`` /
     ``note_vertex`` / ``invalidate``) must run under the owning service's
@@ -131,6 +136,9 @@ class LabelIndex:
 
     Parameters
     ----------
+    dag:
+        The maintained condensation of the labelled graph (``dag.graph``);
+        the service passes its fast-path pruner's.
     label_bits:
         Total bits per side per vertex; a multiple of 64, at least 64.
         Word 0 is the exact landmark word; the rest are bloom words.
@@ -153,7 +161,7 @@ class LabelIndex:
 
     def __init__(
         self,
-        graph: DynamicDiGraph,
+        dag: DynamicDAG,
         *,
         label_bits: int = 256,
         staleness_threshold: float = 0.25,
@@ -161,7 +169,6 @@ class LabelIndex:
         delete_dirty_limit: int = 4096,
         rebuild_cooldown: int = 64,
         landmarks: Optional[Iterable[int]] = None,
-        build: bool = True,
     ) -> None:
         if np is None:
             raise RuntimeError("the label tier requires numpy")
@@ -169,7 +176,8 @@ class LabelIndex:
             raise ValueError("label_bits must be a positive multiple of 64")
         if not 0 < staleness_threshold <= 1:
             raise ValueError("staleness_threshold must be in (0, 1]")
-        self._graph = graph
+        self._dag = dag
+        self._graph = dag.graph
         self.words = label_bits // _WORD_BITS
         self.staleness_threshold = staleness_threshold
         self.insert_frontier_limit = max(1, insert_frontier_limit)
@@ -185,9 +193,7 @@ class LabelIndex:
         self.full_rebuilds = 0
         self.partial_rebuilds = 0
         self.stale_abstains = 0
-        self._state: Optional[_LabelState] = None
-        if build:
-            self._state = self._build_state()
+        self._state: Optional[_LabelState] = self._build_state()
 
     # ------------------------------------------------------------------
     # Seeding
@@ -245,14 +251,14 @@ class LabelIndex:
     def _build_state(self) -> _LabelState:
         """Seed + two level-grouped OR sweeps over the condensation DAG.
 
-        Tarjan emits components in reverse topological order, so longest-
-        path-from-source levels come from one pass over ``C-1 .. 0``; the
-        sweeps then process DAG edges grouped by level — descendants'
-        words flow to ancestors (DL) in descending source level, and the
-        reverse (BL) in ascending target level — with one
+        The DAG's component ids are remapped to dense indices; the sweeps
+        then process DAG edges grouped by the maintained levels —
+        descendants' words flow to ancestors (DL) in descending source
+        level, and the reverse (BL) in ascending target level — with one
         ``np.bitwise_or.at`` scatter per level group.
         """
         graph = self._graph
+        dag = self._dag
         version = graph.version
         self._choose_landmarks()
         ids_list = sorted(graph.vertices())
@@ -263,34 +269,28 @@ class LabelIndex:
             empty = np.zeros((0, self.words), dtype=np.uint64)
             return _LabelState(version, ids, row, empty, empty.copy())
         seeds = self._seed_matrix(ids, row)
-        dag, scc_of, components = condensation(graph)
-        num_comps = len(components)
-        comp_of_row = np.empty(n, dtype=np.int64)
-        for cid, comp in enumerate(components):
-            for v in comp:
-                comp_of_row[row[v]] = cid
-        comp_seed = np.zeros((num_comps, self.words), dtype=np.uint64)
+        dense = {cid: i for i, cid in enumerate(dag.members)}
+        scc_of = dag.scc_of
+        comp_of_row = np.fromiter(
+            (dense[scc_of[v]] for v in ids_list), dtype=np.int64, count=n
+        )
+        comp_seed = np.zeros((len(dense), self.words), dtype=np.uint64)
         np.bitwise_or.at(comp_seed, comp_of_row, seeds)
 
-        edges = list(dag.edges())
         dl_comp = comp_seed.copy()
         bl_comp = comp_seed.copy()
+        edges = list(dag.dag.edges())
         if edges:
-            level = [0] * num_comps
-            for cid in range(num_comps - 1, -1, -1):
-                best = 0
-                for pred in dag.in_neighbors(cid):
-                    lp = level[pred] + 1
-                    if lp > best:
-                        best = lp
-                level[cid] = best
             src = np.fromiter(
-                (e[0] for e in edges), dtype=np.int64, count=len(edges)
+                (dense[e[0]] for e in edges), dtype=np.int64, count=len(edges)
             )
             dst = np.fromiter(
-                (e[1] for e in edges), dtype=np.int64, count=len(edges)
+                (dense[e[1]] for e in edges), dtype=np.int64, count=len(edges)
             )
-            lvl = np.asarray(level, dtype=np.int64)
+            lvl = np.fromiter(
+                (dag.level[cid] for cid in dense),
+                dtype=np.int64, count=len(dense),
+            )
             self._sweep(dl_comp, src, dst, -lvl[src])
             self._sweep(bl_comp, dst, src, lvl[dst])
         dl = dl_comp[comp_of_row]
@@ -638,10 +638,10 @@ class LabelIndex:
     def _partial_rebuild(self, state) -> Optional[_LabelState]:
         """Recompute exactly the dirty rows on copied matrices.
 
-        INV2 guarantees the dirty sets are SCC-closed, so Tarjan over the
-        induced dirty subgraph sees every relevant cycle whole; components
-        come out reverse-topological (sinks first), which is dependency
-        order for DL (out-neighbours first) and reversed for BL. Clean
+        INV2 guarantees the dirty sets are SCC-closed, so grouping the
+        dirty rows by the DAG's components yields whole components; in
+        descending level order a group's out-neighbours are done first
+        (dependency order for DL), ascending order serves BL. Clean
         neighbours contribute their exact rows (INV1). Returns ``None``
         to escalate to a full rebuild on any inconsistency.
         """
@@ -660,21 +660,27 @@ class LabelIndex:
 
     def _recompute(self, state, dirty_rows, mat, out_side: bool) -> bool:
         graph = self._graph
+        dag = self._dag
+        scc_of = dag.scc_of
         row = state.row
-        ids = state.ids
-        dirty_ids = [int(x) for x in ids[dirty_rows]]
+        dirty_ids = [int(x) for x in state.ids[dirty_rows]]
         dirty_set = set(dirty_ids)
-        comps = strongly_connected_components(graph.subgraph(dirty_ids))
-        if not out_side:
-            comps = list(reversed(comps))
+        groups: Dict[int, List[int]] = {}
+        for v in dirty_ids:
+            groups.setdefault(scc_of[v], []).append(v)
+        sign = -1 if out_side else 1
+        order = sorted(groups, key=lambda c: (sign * dag.level[c], c))
         done = set()
-        for comp in comps:
-            members = set(comp)
+        for cid in order:
+            comp = groups[cid]
+            if len(comp) != len(dag.members[cid]):
+                # A dirty set that cuts an SCC would break INV2.
+                return False
             val = np.zeros(self.words, dtype=np.uint64)
             for m in comp:
                 val |= self._seed_of(m)
                 for y in graph.neighbors(m, out_side):
-                    if y in members:
+                    if scc_of[y] == cid:
                         continue
                     ry = row.get(y)
                     if ry is None:

@@ -325,12 +325,7 @@ class ReachabilityService:
         else:
             factory = lambda g: IFCAMethod(  # noqa: E731
                 g,
-                IFCAParams(
-                    use_push_kernels=push_kernels,
-                    shards=shards,
-                    use_labels=use_labels,
-                    label_bits=label_bits,
-                ),
+                IFCAParams(use_push_kernels=push_kernels),
             )
         self.method = factory(self.graph)
         if fallback_factory is None:
@@ -390,7 +385,7 @@ class ReachabilityService:
         if use_labels and labels_available():
             try:
                 self._labels = LabelIndex(
-                    self.graph,
+                    self._pruner.dag,
                     label_bits=label_bits,
                     staleness_threshold=label_staleness_threshold,
                 )
@@ -533,15 +528,26 @@ class ReachabilityService:
             # fault propagates to the caller with the graph, pruner, and
             # journal all untouched — failed updates are atomic.
             self._fire("update")
-            if insert:
-                effect = self._pruner.apply_insert(u, v)
-            else:
-                effect = self._pruner.apply_delete(u, v)
-            if effect.changed:
-                self._journal_record(insert, u, v, effect.version)
-            self._note_update(effect, "inserts" if insert else "deletes")
-            self._labels_note(effect, u, v, insert)
+            effect = self._apply_update(u, v, insert)
         self._stats.observe_latency("update", time.perf_counter() - start)
+        return effect
+
+    def _apply_update(self, u: int, v: int, insert: bool) -> UpdateEffect:
+        """Apply one edge mutation and notify every tier (write lock held).
+
+        The single place an edge update reaches the pruner's
+        :class:`~repro.graph.dag.DynamicDAG`, which the label tier and the
+        shard partitioner read too: pruner repair, then the journal, the
+        cache invalidation and the label note.
+        """
+        if insert:
+            effect = self._pruner.apply_insert(u, v)
+        else:
+            effect = self._pruner.apply_delete(u, v)
+        if effect.changed:
+            self._journal_record(insert, u, v, effect.version)
+        self._note_update(effect, "inserts" if insert else "deletes")
+        self._labels_note(effect, u, v, insert)
         return effect
 
     def add_vertex(self, v: int) -> UpdateEffect:
@@ -597,7 +603,9 @@ class ReachabilityService:
         version arithmetic is deterministic, so a mismatch means the
         replica's graph has diverged from the primary's base state and
         the apply raises :class:`~repro.graph.journal.JournalReplayError`
-        rather than advancing a silently wrong watermark.
+        rather than advancing a silently wrong watermark. The mutation
+        itself has landed by then, so it is journaled and every tier is
+        notified of it like any other.
 
         Records at or below the current watermark are skipped (``None``:
         the reconnect/resume overlap), so the apply is idempotent.
@@ -615,19 +623,13 @@ class ReachabilityService:
                 self._stats.incr("replica_stale_records")
                 return None
             self._fire("update")
-            if insert:
-                effect = self._pruner.apply_insert(u, v)
-            else:
-                effect = self._pruner.apply_delete(u, v)
+            effect = self._apply_update(u, v, insert)
             if not effect.changed or effect.version != ver:
                 raise JournalReplayError(
                     f"replicated record {op}{(u, v)} stamped {ver} landed at "
                     f"version {effect.version} (changed={effect.changed}) — "
                     "replica has diverged from the primary's base state"
                 )
-            self._journal_record(insert, u, v, effect.version)
-            self._note_update(effect, "inserts" if insert else "deletes")
-            self._labels_note(effect, u, v, insert)
             self._stats.incr("replica_applied_records")
         self._stats.observe_latency("update", time.perf_counter() - start)
         return effect
@@ -1316,13 +1318,13 @@ class ReachabilityService:
                 self._fire("shard")
                 if router is None:
                     self._router = ShardRouter(
-                        self.graph,
+                        self._pruner.dag,
                         self._shards,
                         call_timeout_s=self._shard_call_timeout_s,
                         auto_respawn=self._shard_respawn,
                     )
                 else:
-                    router.refresh(self.graph)
+                    router.refresh(self._pruner.dag)
             except Exception:
                 self._stats.incr("stage_errors_shard")
                 self._router_failures += 1

@@ -5,13 +5,14 @@ related condensation indexes (DAGGER) exploit, arranged so that *every*
 partition-level verdict the router hands out is exact:
 
 **Topo-contiguous segments are closed.** Order the SCCs topologically
-(sources first). Any path between two vertices whose SCCs sit at topo
-positions ``p <= q`` only visits SCCs at positions in ``[p, q]`` —
-condensation edges strictly increase topo position. So if a shard is a
-*contiguous run* of the topo order, a path between two of its vertices
-can never leave the shard: intra-shard positives **and negatives** are
-provable from the shard's induced subgraph alone. These shards are marked
-``closed``.
+(sources first: by the :class:`~repro.graph.dag.DynamicDAG`'s maintained
+level, ties by component id). Any path between two vertices whose SCCs
+sit at topo positions ``p <= q`` only visits SCCs at positions in
+``[p, q]`` — condensation edges strictly increase topo position. So if a
+shard is a *contiguous run* of the topo order, a path between two of its
+vertices can never leave the shard: intra-shard positives **and
+negatives** are provable from the shard's induced subgraph alone. These
+shards are marked ``closed``.
 
 **Oversized SCCs split into open shards with exact class summaries.**
 A single SCC can hold most of the edge volume (scale-free graphs grow a
@@ -53,8 +54,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.community.sweep import sweep_cut
+from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.scc import strongly_connected_components
 from repro.ppr.common import PushConfig
 from repro.ppr.forward_push import forward_push
 
@@ -105,7 +106,7 @@ class ShardPlan:
     #: Shard -> frozenset of quotient-reachable shards (closure, incl.
     #: self, through *all* shards including class pieces).
     quotient_reach: Dict[int, FrozenSet[int]]
-    #: vertex -> SCC id (Tarjan numbering).
+    #: vertex -> SCC id (the DAG's component ids, copied at build).
     scc_of: Dict[int, int]
     #: Class id -> vertices that reach the class / are reached from it
     #: (both include the class members themselves).
@@ -256,29 +257,31 @@ def _split_component(
 
 
 def partition_graph(
-    graph: DynamicDiGraph,
+    dag: DynamicDAG,
     num_shards: int,
     *,
     split_factor: float = SPLIT_FACTOR,
 ) -> ShardPlan:
-    """Cut ``graph`` into (about) ``num_shards`` edge-balanced shards.
+    """Cut ``dag.graph`` into (about) ``num_shards`` edge-balanced shards.
 
     The shard count is a target: tiny graphs yield fewer shards (a shard
     is never empty), and splitting an oversized SCC can add a piece. All
-    derived facts (quotient closure, class summaries) are exact for
-    ``graph`` at its current version.
+    derived facts (quotient closure, class summaries) are exact for the
+    graph at its current version.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     started = time.perf_counter()
+    graph = dag.graph
     version = graph.version
 
-    comps = strongly_connected_components(graph)
-    topo = list(reversed(comps))  # sources first: edges go earlier -> later
-    scc_of: Dict[int, int] = {}
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            scc_of[v] = cid
+    # Sources first: every DAG edge strictly increases the level.
+    level = dag.level
+    topo = [
+        sorted(dag.members[cid])
+        for cid in sorted(dag.members, key=lambda c: (level[c], c))
+    ]
+    scc_of = dict(dag.scc_of)
 
     total_volume = graph.num_edges
     target = max(1, -(-total_volume // num_shards))
@@ -404,7 +407,7 @@ def partition_graph(
         num_cross_edges=num_cross,
         build_seconds=time.perf_counter() - started,
         stats={
-            "sccs": len(comps),
+            "sccs": len(topo),
             "split_classes": next_class,
             "target_volume": target,
         },

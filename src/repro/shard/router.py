@@ -4,7 +4,7 @@ The router owns one :class:`~repro.shard.partition.ShardPlan`, one
 published shared-memory segment per shard, and one spawned worker per
 shard. For a batch of (source, target) pairs it resolves, in order:
 
-1. **same SCC** → ``True`` (Tarjan ids from the partition);
+1. **same SCC** → ``True`` (the DAG's component ids, copied into the plan);
 2. **class summaries** → exact ``True``/``False`` for every pair that
    touches or could pass through a split class (see
    :mod:`repro.shard.partition`);
@@ -67,7 +67,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.graph.digraph import DynamicDiGraph
+from repro.graph.dag import DynamicDAG
 from repro.graph.snapshot import CSRSnapshot
 from repro.shard.memory import SegmentHandle, publish_snapshot, segment_name
 from repro.shard.partition import ShardPlan, partition_graph
@@ -229,7 +229,7 @@ class ShardRouter:
 
     def __init__(
         self,
-        graph: DynamicDiGraph,
+        dag: DynamicDAG,
         num_shards: int,
         *,
         num_workers: Optional[int] = None,
@@ -262,7 +262,7 @@ class ShardRouter:
         # it blocking; scalar riders take it non-blocking and fall back
         # to the caller instead of convoying behind a batch.
         self._route_lock = threading.Lock()
-        self._deploy(graph)
+        self._deploy(dag)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -315,14 +315,14 @@ class ShardRouter:
             else plan.num_shards
         )
 
-    def _deploy(self, graph: DynamicDiGraph) -> None:
-        plan = partition_graph(graph, self.requested_shards)
+    def _deploy(self, dag: DynamicDAG) -> None:
+        plan = partition_graph(dag, self.requested_shards)
         if not plan.shards:
             raise ValueError("cannot shard an empty graph")
         self._deploy_from(plan)
 
-    def refresh(self, graph: DynamicDiGraph) -> None:
-        """Re-anchor the fleet at the graph's current version.
+    def refresh(self, dag: DynamicDAG) -> None:
+        """Re-anchor the fleet at ``dag.graph``'s current version.
 
         Swaps segments in place when the new partition keeps the shard
         count and every worker is alive; otherwise tears down and
@@ -331,9 +331,9 @@ class ShardRouter:
         """
         if self._closed:
             raise RuntimeError("router is closed")
-        if self._plan is not None and self._plan.version == graph.version:
+        if self._plan is not None and self._plan.version == dag.graph.version:
             return
-        plan = partition_graph(graph, self.requested_shards)
+        plan = partition_graph(dag, self.requested_shards)
         if not plan.shards:
             raise ValueError("cannot shard an empty graph")
         in_place = (

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.core.params import IFCAParams
+from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.labels import labels_available
 from repro.graph.traversal import is_reachable_bfs
@@ -68,7 +68,7 @@ class TestBuild:
         graph = random_graph(150, 400, seed=seed)
         for i in range(150, 160):  # island: guaranteed negatives exist
             graph.add_edge(i, i + 1)
-        idx = LabelIndex(graph, label_bits=128)
+        idx = LabelIndex(DynamicDAG(graph), label_bits=128)
         rng = random.Random(seed)
         answered = {True: 0, False: 0}
         for _ in range(400):
@@ -82,7 +82,7 @@ class TestBuild:
 
     def test_batch_matches_scalar(self):
         graph = random_graph(120, 300, seed=7)
-        idx = LabelIndex(graph, label_bits=128)
+        idx = LabelIndex(DynamicDAG(graph), label_bits=128)
         rng = random.Random(7)
         pairs = [
             (rng.randrange(120), rng.randrange(120)) for _ in range(300)
@@ -98,15 +98,13 @@ class TestBuild:
     def test_label_bits_validation(self):
         graph = DynamicDiGraph(edges=[(0, 1)])
         with pytest.raises(ValueError):
-            LabelIndex(graph, label_bits=0)
+            LabelIndex(DynamicDAG(graph), label_bits=0)
         with pytest.raises(ValueError):
-            LabelIndex(graph, label_bits=100)
-        with pytest.raises(ValueError):
-            IFCAParams(label_bits=100)
+            LabelIndex(DynamicDAG(graph), label_bits=100)
 
     def test_unknown_vertices_abstain(self):
         graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
-        idx = LabelIndex(graph)
+        idx = LabelIndex(DynamicDAG(graph))
         assert idx.check(0, 99) is None
         assert idx.check(99, 0) is None
         assert list(idx.filter_pairs([(0, 99), (99, 0)])) == [0, 0]
@@ -123,11 +121,12 @@ class TestDynamics:
         for i in range(0, 40, 2):
             graph.add_edge(i, i + 1)
         landmarks = list(range(50))
-        inc = LabelIndex(graph, label_bits=128, landmarks=landmarks)
+        dag = DynamicDAG(graph)
+        inc = LabelIndex(dag, label_bits=128, landmarks=landmarks)
         for u, v in [(1, 2), (3, 4), (10, 20), (20, 30), (5, 40), (41, 0)]:
-            graph.add_edge(u, v)
+            dag.insert_edge(u, v)
             inc.note_insert(u, v)
-        fresh = LabelIndex(graph, label_bits=128, landmarks=landmarks)
+        fresh = LabelIndex(dag, label_bits=128, landmarks=landmarks)
         si, sf = inc._state, fresh._state
         assert not si.missing
         assert si.num_dirty_out == 0 and si.num_dirty_in == 0
@@ -147,12 +146,13 @@ class TestDynamics:
         # staleness_threshold=0.9: the dirty region (10 of 16 rows across
         # both sides) must stay below the full-rebuild escalation bar for
         # this test to exercise the partial path.
+        dag = DynamicDAG(graph)
         idx = LabelIndex(
-            graph, label_bits=128, rebuild_cooldown=1,
+            dag, label_bits=128, rebuild_cooldown=1,
             staleness_threshold=0.9,
         )
         assert idx.check(0, 9) is True
-        graph.remove_edge(4, 5)
+        dag.delete_edge(4, 5)
         idx.note_delete(4, 5)
         # The affected rows abstain rather than answer stale.
         assert idx.check(0, 9) is None
@@ -169,15 +169,16 @@ class TestDynamics:
 
     def test_redundant_delete_keeps_labels_clean(self):
         graph = DynamicDiGraph(edges=[(0, 1), (0, 2), (2, 1)])
-        idx = LabelIndex(graph, label_bits=128)
-        graph.remove_edge(0, 1)  # 0 still reaches 1 via 2
+        dag = DynamicDAG(graph)
+        idx = LabelIndex(dag, label_bits=128)
+        dag.delete_edge(0, 1)  # 0 still reaches 1 via 2
         idx.note_delete(0, 1, removes_reachability=False)
         assert idx.stale_rows == 0
         assert idx.check(0, 1) is True
 
     def test_invalidate_abstains_until_rebuilt(self):
         graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
-        idx = LabelIndex(graph, label_bits=128, rebuild_cooldown=1)
+        idx = LabelIndex(DynamicDAG(graph), label_bits=128, rebuild_cooldown=1)
         idx.invalidate()
         assert idx.check(0, 2) is None
         assert idx.check(2, 0) is None
@@ -201,20 +202,21 @@ class TestDynamics:
             if u != v and (u, v) not in edges:
                 graph.add_edge(u, v)
                 edges.add((u, v))
-        idx = LabelIndex(graph, label_bits=128, rebuild_cooldown=8)
+        dag = DynamicDAG(graph)
+        idx = LabelIndex(dag, label_bits=128, rebuild_cooldown=8)
         for step in range(150):
             action = rng.random()
             if action < 0.5 or not edges:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u == v or (u, v) in edges:
                     continue
-                graph.add_edge(u, v)
+                dag.insert_edge(u, v)
                 edges.add((u, v))
                 idx.note_insert(u, v)
             elif action < 0.85:
                 u, v = rng.choice(sorted(edges))
                 edges.remove((u, v))
-                graph.remove_edge(u, v)
+                dag.delete_edge(u, v)
                 idx.note_delete(u, v)
             else:
                 idx.observe_query()
@@ -223,11 +225,56 @@ class TestDynamics:
             ]
             assert_one_sided(idx, graph, pairs)
 
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_partial_rebuild_equals_fresh_build(self, seed):
+        """Insert/delete churn repaired on the partial path only lands
+        bit for bit on a fresh build: the level-ordered grouping of the
+        dirty rows recomputes them exactly, not just soundly."""
+        rng = random.Random(seed)
+        n = 60
+        graph = DynamicDiGraph(vertices=range(n))
+        dag = DynamicDAG(graph)
+        for _ in range(90):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                dag.insert_edge(u, v)
+        landmarks = list(range(0, n, 3))
+        # A threshold of 1.0 never escalates on staleness, and the fixed
+        # vertex set keeps inserts from raising the missing flag, so
+        # every repair below must take the partial path.
+        idx = LabelIndex(
+            dag, label_bits=128, landmarks=landmarks, rebuild_cooldown=1,
+            staleness_threshold=1.0, insert_frontier_limit=10 * n,
+            delete_dirty_limit=10 * n,
+        )
+        for _ in range(40):
+            for _ in range(4):
+                if rng.random() < 0.5:
+                    u, v = rng.choice(sorted(graph.edges()))
+                    dag.delete_edge(u, v)
+                    idx.note_delete(u, v)
+                else:
+                    u, v = rng.randrange(n), rng.randrange(n)
+                    if u != v and dag.insert_edge(u, v):
+                        idx.note_insert(u, v)
+            idx.observe_query()
+            state = idx._state
+            assert not state.missing
+            assert state.num_dirty_out == 0 and state.num_dirty_in == 0
+            fresh = LabelIndex(
+                dag, label_bits=128, landmarks=landmarks
+            )._state
+            assert np.array_equal(state.dl, fresh.dl)
+            assert np.array_equal(state.bl, fresh.bl)
+        summary = idx.summary()
+        assert summary["full_rebuilds"] == 0
+        assert summary["partial_rebuilds"] > 0
+
     def test_version_desync_abstains(self):
         """A graph mutation the tier was never told about must not be
         answered from the stale matrices."""
         graph = DynamicDiGraph(edges=[(0, 1)])
-        idx = LabelIndex(graph, label_bits=128)
+        idx = LabelIndex(DynamicDAG(graph), label_bits=128)
         graph.add_edge(1, 2)  # applied behind the tier's back
         assert idx.check(0, 2) is None
         assert idx.summary()["stale_abstains"] >= 1

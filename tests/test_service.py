@@ -109,7 +109,7 @@ class TestFastPathPruner:
         # invariant: every DAG edge strictly increases the level
         dag = pruner.dag.dag
         for a, b in dag.edges():
-            assert pruner._level[a] < pruner._level[b]
+            assert pruner.dag.level[a] < pruner.dag.level[b]
 
     def test_insert_extends_samples_exactly(self):
         g = DynamicDiGraph(edges=[(0, 1), (0, 2), (5, 0), (3, 4)])

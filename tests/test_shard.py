@@ -14,6 +14,7 @@ import signal
 import pytest
 
 from repro.graph import HAVE_NUMPY
+from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.shard import ShardRouter, partition_graph
@@ -75,7 +76,7 @@ def sample_pairs(graph, count, seed=0):
 class TestPartition:
     def test_covers_all_vertices_disjointly(self):
         g = chain_graph()
-        plan = partition_graph(g, 4)
+        plan = partition_graph(DynamicDAG(g), 4)
         assert set(plan.shard_of) == set(g.vertices())
         seen = set()
         for info in plan.shards:
@@ -88,12 +89,12 @@ class TestPartition:
 
     def test_edge_volume_accounts_every_edge_once(self):
         g = chain_graph()
-        plan = partition_graph(g, 4)
+        plan = partition_graph(DynamicDAG(g), 4)
         assert sum(s.edge_volume for s in plan.shards) == g.num_edges
 
     def test_closed_segments_are_reachability_closed(self):
         g = chain_graph()
-        plan = partition_graph(g, 4)
+        plan = partition_graph(DynamicDAG(g), 4)
         for info in plan.shards:
             if not info.closed:
                 continue
@@ -107,7 +108,7 @@ class TestPartition:
 
     def test_quotient_negative_is_sound(self):
         g = chain_graph()
-        plan = partition_graph(g, 4)
+        plan = partition_graph(DynamicDAG(g), 4)
         checked = 0
         for s, t in sample_pairs(g, 400, seed=1):
             ks, kt = plan.shard_of[s], plan.shard_of[t]
@@ -117,13 +118,13 @@ class TestPartition:
         assert checked > 0  # the sample must actually exercise the rule
 
     def test_quotient_reach_includes_self(self):
-        plan = partition_graph(chain_graph(), 4)
+        plan = partition_graph(DynamicDAG(chain_graph()), 4)
         for info in plan.shards:
             assert info.index in plan.quotient_reach[info.index]
 
     def test_degree_liveness_negative_is_sound(self):
         g = chain_graph()
-        plan = partition_graph(g, 4)
+        plan = partition_graph(DynamicDAG(g), 4)
         checked = 0
         for s in g.vertices():
             ks = plan.shard_of[s]
@@ -149,7 +150,7 @@ class TestPartition:
 
     def test_class_split_and_summaries_exact(self):
         g = giant_scc_graph()
-        plan = partition_graph(g, 4)
+        plan = partition_graph(DynamicDAG(g), 4)
         class_shards = [s for s in plan.shards if s.scc_class is not None]
         assert class_shards, "the 60-cycle should have been split"
         assert all(not s.closed for s in class_shards)
@@ -171,7 +172,7 @@ class TestPartition:
 
     def test_cross_edges_never_enter_class_shards(self):
         for g in (chain_graph(), giant_scc_graph()):
-            plan = partition_graph(g, 4)
+            plan = partition_graph(DynamicDAG(g), 4)
             for shard, by_tail in plan.cross_out.items():
                 for tail, heads in by_tail.items():
                     assert plan.shard_of[tail] == shard
@@ -187,7 +188,7 @@ class TestPartition:
         """Every summary rule the router applies, checked exhaustively:
         same-SCC, class membership, and quotient-negative are exact."""
         for g in (giant_scc_graph(), random_graph(40, 120, seed=13)):
-            plan = partition_graph(g, 4)
+            plan = partition_graph(DynamicDAG(g), 4)
             class_of = {
                 s.index: s.scc_class for s in plan.shards
             }
@@ -213,22 +214,22 @@ class TestPartition:
 
     def test_single_shard_target(self):
         g = DynamicDiGraph(edges=[(i, (i + 1) % 10) for i in range(10)])
-        plan = partition_graph(g, 1)  # one SCC, one shard
+        plan = partition_graph(DynamicDAG(g), 1)  # one SCC, one shard
         assert plan.num_shards == 1
         assert plan.shards[0].closed
         assert plan.quotient_reach[0] == frozenset({0})
         # The count is a target, not a promise — but shards are never
         # empty, so tiny graphs yield fewer shards than asked for.
-        tiny = partition_graph(DynamicDiGraph(edges=[(0, 1)]), 8)
+        tiny = partition_graph(DynamicDAG(DynamicDiGraph(edges=[(0, 1)])), 8)
         assert 1 <= tiny.num_shards <= 2
         assert all(s.vertices for s in tiny.shards)
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
-            partition_graph(DynamicDiGraph(edges=[(0, 1)]), 0)
+            partition_graph(DynamicDAG(DynamicDiGraph(edges=[(0, 1)])), 0)
 
     def test_summary_is_plain_data(self):
-        plan = partition_graph(chain_graph(), 3)
+        plan = partition_graph(DynamicDAG(chain_graph()), 3)
         summary = plan.summary()
         assert summary["num_shards"] == plan.num_shards
         assert len(summary["edge_volumes"]) == plan.num_shards
@@ -253,7 +254,7 @@ def fleet():
     if not HAVE_NUMPY or ShardRouter is None:
         pytest.skip("shard workers need numpy kernels")
     graph = chain_graph()
-    router = ShardRouter(graph, 3, call_timeout_s=20.0)
+    router = ShardRouter(DynamicDAG(graph), 3, call_timeout_s=20.0)
     yield graph, router
     router.close()
 
@@ -314,29 +315,28 @@ def test_fleet_refresh_kill_cleanup():
     graph = chain_graph(num_cycles=20)
     pairs = sample_pairs(graph, 120, seed=7)
     preexisting = set(shm_segments())  # e.g. the module fixture's fleet
-    router = ShardRouter(graph, 2, call_timeout_s=20.0, auto_respawn=False)
+    dag = DynamicDAG(graph)
+    router = ShardRouter(dag, 2, call_timeout_s=20.0, auto_respawn=False)
     try:
         assert set(shm_segments()) - preexisting
         # First refresh changes the shard count (3 -> 2 on this graph),
         # so the router tears down and respawns against the new plan.
-        updated = graph.copy()
-        updated.add_edge(0, 97)
-        router.refresh(updated)
-        assert router.version == updated.version
+        dag.insert_edge(0, 97)
+        router.refresh(dag)
+        assert router.version == graph.version
         assert router.counters.get("deploys") == 2
         # Second refresh keeps the count: same workers, segments swapped
         # in place.
-        updated = updated.copy()
-        updated.add_edge(116, 117)
+        dag.insert_edge(116, 117)
         workers_before = list(router._workers)
-        router.refresh(updated)
-        assert router.version == updated.version
+        router.refresh(dag)
+        assert router.version == graph.version
         assert router.counters.get("swaps") == 1
         assert router._workers == workers_before
         resolved, unresolved = router.execute_batch(pairs)
         assert not unresolved
         for (s, t), (answer, _) in resolved.items():
-            assert answer == is_reachable_bfs(updated, s, t)
+            assert answer == is_reachable_bfs(graph, s, t)
 
         # Kill a worker: its shard's searches become unresolved, the
         # rest keep answering, nothing wedges and nothing lies.
@@ -347,7 +347,7 @@ def test_fleet_refresh_kill_cleanup():
         assert set(resolved) | set(unresolved) == set(pairs)
         assert not set(resolved) & set(unresolved)
         for (s, t), (answer, _) in resolved.items():
-            assert answer == is_reachable_bfs(updated, s, t)
+            assert answer == is_reachable_bfs(graph, s, t)
 
         # Respawn against the SAME plan: the dead worker's segments were
         # never unlinked, the replacement re-attaches and answers the
@@ -362,7 +362,7 @@ def test_fleet_refresh_kill_cleanup():
         resolved, unresolved = router.execute_batch(pairs)
         assert not unresolved
         for (s, t), (answer, _) in resolved.items():
-            assert answer == is_reachable_bfs(updated, s, t)
+            assert answer == is_reachable_bfs(graph, s, t)
     finally:
         router.close()
     # No leaked shared-memory segments from this fleet.
@@ -445,7 +445,7 @@ def test_kill_midwave_releases_cleanly():
     pairs = sample_pairs(graph, 80, seed=12)
     preexisting = set(shm_segments())
     router = ShardRouter(
-        graph, 2, call_timeout_s=20.0, respawn_cooldown_s=0.0
+        DynamicDAG(graph), 2, call_timeout_s=20.0, respawn_cooldown_s=0.0
     )
     try:
         published = set(shm_segments()) - preexisting
@@ -572,7 +572,9 @@ def test_inflight_window_backpressure():
     oracle-exact with replies matched out of posted order."""
     graph = chain_graph(num_cycles=36)
     pairs = sample_pairs(graph, 400, seed=23)
-    router = ShardRouter(graph, 3, inflight_window=1, call_timeout_s=20.0)
+    router = ShardRouter(
+        DynamicDAG(graph), 3, inflight_window=1, call_timeout_s=20.0
+    )
     try:
         resolved, unresolved = router.execute_batch(pairs)
         assert not unresolved
@@ -596,7 +598,7 @@ def test_sigkill_mid_pipeline_contains_to_one_worker(monkeypatch):
     graph = chain_graph(num_cycles=24)
     pairs = sample_pairs(graph, 400, seed=25)
     router = ShardRouter(
-        graph, 3, inflight_window=1, call_timeout_s=20.0,
+        DynamicDAG(graph), 3, inflight_window=1, call_timeout_s=20.0,
         auto_respawn=False,
     )
     try:
@@ -645,7 +647,7 @@ def test_sigstop_mid_pipeline_convicted_by_timeout(monkeypatch):
     graph = chain_graph(num_cycles=24)
     pairs = sample_pairs(graph, 400, seed=27)
     router = ShardRouter(
-        graph, 3, inflight_window=1, call_timeout_s=1.5,
+        DynamicDAG(graph), 3, inflight_window=1, call_timeout_s=1.5,
         auto_respawn=False,
     )
     try:
